@@ -1,0 +1,257 @@
+"""Seeded outputs pinned bit for bit.
+
+Each expected value below was recorded once from the code as it stood and
+must never be edited to follow a change: a refactor of the binary
+reduction, the rank-2 lattice layer or the norm-equation stack has to
+reproduce every one of them.  Long outputs are pinned by a digest of their
+repr, short ones literally.
+
+sample_ellipsoid_dim2 is left out on purpose: its draws depend on which of
+the two transforms (U or -U) the reduction returns at the boundary of the
+fundamental domain, and only the canonical reduction is pinned here.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from quatpath import arith, eqsolver, lattice, qform, quat
+from quatpath.arith import Factorization
+from quatpath.qform import BinaryQF
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:24]
+
+
+# ---------------------------------------------------------------------------
+# norm equations on O0
+
+
+def norm_rep_outputs():
+    out = []
+    for p in (1019, 1013, 1009):  # p = 3 mod 4, 5 mod 8, 1 mod 8
+        alg = quat.construct_algebra(p)
+        prime = arith.next_prime(37 * p * p)
+        smooth = 3**5 * 5**3 * 7**2 * 11 * 13
+        for n in (prime, smooth):
+            assert p * p <= n <= p**3
+            alpha = eqsolver.represent_in_O0(alg, n, random.Random(f"golden/{p}/{n}"))
+            out.append((p, n, tuple(str(c) for c in alpha.coords)))
+    return out
+
+
+def test_represent_in_O0_pinned():
+    assert norm_rep_outputs() == [
+        (1019, 38419379, ("3827", "-2230", "99", "-93")),
+        (1019, 212837625, ("-11303", "-3260", "-230", "-142")),
+        (1013, 37968277, ("5451", "1882", "-2", "24")),
+        (1013, 212837625, ("-211", "-2613", "-142", "-297")),
+        (1009, 37669003, ("10701/2", "149/2", "-78", "-16")),
+        (1009, 212837625, ("20723/2", "4545/2", "144", "50")),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the coset sampler on the skew forms sample_az_plus_bg builds
+
+# (g, a, n): sample_az_plus_bg(a, 1, n, g, ...) samples the coset
+# x0/a + Z^2 of the sublattice basis ((a, 0), (r, 1)) of g, whose Gram is
+# far from reduced.  rho values give sets of exactly 0, 1, 4096 and 4097
+# points (4096 is the size up to which the sampler enumerates) and one
+# large set served by rejection.
+COSET_CASES = [
+    ((5, 4, 29), 47, 100007, (37, 38, 727457, 727598, 5_000_000)),
+    ((10, -6, 17), 23, 100001, (65, 66, 380624, 380785, 3_000_000)),
+    ((3, -2, 41), 61, 100001, (265, 266, 877324, 877873)),
+]
+
+
+def az_coset(g: BinaryQF, a: int, n: int):
+    """The Gram and root-class shifts sample_az_plus_bg builds for b = 1."""
+    m = qform._coprime_leading_transform(g, a)
+    gt = g.transform(m)
+    target = (4 * gt.a * n) % a
+    inv2a = arith.inv_mod(2 * gt.a, a)
+    basis = ((a, 0), ((-gt.b * inv2a) % a, 1))
+    gram = gt.gram().transform(basis)
+    shifts = sorted(Fraction((r * inv2a) % a, a) for r in arith.sqrt_mod(target, a, 1))
+    return gram, shifts
+
+
+def coset_outputs():
+    out = []
+    for g, a, n, rhos in COSET_CASES:
+        gram, shifts = az_coset(BinaryQF(*g), a, n)
+        shift = (shifts[0], Fraction(0))
+        for rho in rhos:
+            size = lattice.count_ellipsoid_dim2(gram, shift, rho)
+            rng = random.Random(f"golden/coset/{g}/{rho}")
+            draws = [lattice.sample_ellipsoid_coset_dim2(gram, shift, rho, rng) for _ in range(6)]
+            out.append((gram.binary_coeffs(), str(shift[0]), rho, size, digest(draws)))
+    return out
+
+
+GOLDEN_COSET = [
+    ((11045, 4418, 470), '8/47', 37, 0, '97feebf13ebdd66935da2417'),
+    ((11045, 4418, 470), '8/47', 38, 1, '50111d837f68542f054f1a2b'),
+    ((11045, 4418, 470), '8/47', 727457, 4096, '3b6f6e42396625a80e4a0727'),
+    ((11045, 4418, 470), '8/47', 727598, 4097, '5bc886837b1466cbb342000a'),
+    ((11045, 4418, 470), '8/47', 5000000, 28137, 'e7fb2bf7e480c0639ba17a28'),
+    ((5290, 9522, 4301), '5/23', 65, 0, '97feebf13ebdd66935da2417'),
+    ((5290, 9522, 4301), '5/23', 66, 1, 'c842e035c7e45ab86fbba577'),
+    ((5290, 9522, 4301), '5/23', 380624, 4096, 'e68170bb575e33ab948c0c71'),
+    ((5290, 9522, 4301), '5/23', 380785, 4097, 'abaeeaef97f9f4af0ae96b16'),
+    ((5290, 9522, 4301), '5/23', 3000000, 32300, '66cdd6ce61db5f84031c6d06'),
+    ((11163, 14884, 5002), '29/61', 265, 0, '97feebf13ebdd66935da2417'),
+    ((11163, 14884, 5002), '29/61', 266, 1, '6759bd7957abc97a9646301d'),
+    ((11163, 14884, 5002), '29/61', 877324, 4096, '8d1abbe3458306515f04e9b3'),
+    ((11163, 14884, 5002), '29/61', 877873, 4097, '02d0a4b47608de8c7976023e'),
+]
+
+
+def test_coset_sampler_pinned():
+    got = coset_outputs()
+    assert [row[3] for row in got] == [
+        0, 1, 4096, 4097, 28137, 0, 1, 4096, 4097, 32300, 0, 1, 4096, 4097
+    ]
+    assert got == GOLDEN_COSET
+
+
+GOLDEN_AZ = [
+    [(223, 125, 13), (1231, -83, 23), (2118, 3, -4), (1290, 78, 13), (381, 128, -18)],
+    [(72621, -2123, -255), (144580, 2183, -116), (222813, -805, 807),
+     (207031, -202, -818), (624829, 49, 143)],
+    [(2664, -12, -49), (2569, -47, 26), (655, -94, -8), (1579, -82, -14), (3132, 51, -5)],
+]
+
+
+def test_sample_az_plus_bg_pinned():
+    out = []
+    for g, a, n in [((5, 4, 29), 47, 100007), ((5, 4, 29), 47, 30_000_017),
+                    ((10, -6, 17), 23, 100001)]:
+        fa = Factorization(((a, 1),), 1)
+        rng = random.Random(f"golden/az/{g}/{n}")
+        out.append([eqsolver.sample_az_plus_bg(a, 1, n, BinaryQF(*g), fa, rng)
+                    for _ in range(5)])
+    assert out == GOLDEN_AZ
+
+
+# ---------------------------------------------------------------------------
+# counting and enumerating shifted ellipses
+
+
+SHIFTED_CASES = [
+    ((11045, 4418, 470), (Fraction(39, 47), 0), 40000),
+    ((5290, 9522, 4301), (Fraction(5, 23), 0), 30000),
+    ((7, 13, 11), (Fraction(1, 3), Fraction(-2, 5)), 300),
+    ((3, -3, 5), (Fraction(1, 2), Fraction(1, 2)), 120),
+    ((5, -2, 5), (0, Fraction(3, 4)), 90),
+    ((1, 0, 1), (0, 0), 50),
+]
+
+
+GOLDEN_SHIFTED = [
+    (226, 226, '7b86295c5d84927963247137'),
+    (324, 324, 'c3ec6fdcbd5269a860f302f9'),
+    (162, 162, '4a503fdc214bffa16fff95a7'),
+    (106, 106, '0497512fe6c56fbc939f54ff'),
+    (59, 59, 'b261e198b8162a1812fcc1a9'),
+    (161, 161, '0caba0accbee84a0bbf337c0'),
+]
+
+
+def test_count_and_enumerate_pinned():
+    got = []
+    for abc, shift, rho in SHIFTED_CASES:
+        gram = lattice.GramForm.binary(*abc)
+        pts = sorted(lattice.enumerate_ellipsoid_dim2(gram, shift, rho))
+        got.append((lattice.count_ellipsoid_dim2(gram, shift, rho), len(pts), digest(pts)))
+    assert got == GOLDEN_SHIFTED
+
+
+# ---------------------------------------------------------------------------
+# binary forms
+
+
+REDUCE_CASES = [
+    (3, -3, 5),    # b = -a
+    (5, -2, 5),    # a = c, b < 0
+    (4, -4, 9),    # b = -a after nothing else moves
+    (6, 6, 6),
+    (7, 30, 40),
+    (162, 162, 63),
+    (11532, 13454, 3937),
+    (136493019, 178134957, 58120452),
+    (1, 101, 2600),
+    (2209, 0, 141),
+]
+
+
+GOLDEN_REDUCE = [
+    ((3, 3, 5), ((1, 1), (0, 1))),
+    ((5, 2, 5), ((0, -1), (1, 0))),
+    ((4, 4, 9), ((1, 1), (0, 1))),
+    ((6, 6, 6), ((1, 0), (0, 1))),
+    ((7, 2, 8), ((1, -2), (0, 1))),
+    ((63, 36, 63), ((-1, 0), (1, -1))),
+    ((372, -62, 403), ((1, 3), (-2, -5))),
+    ((88218, -77571, 246402), ((-15, -2), (23, 3))),
+    ((1, 1, 50), ((1, -50), (0, 1))),
+    ((141, 0, 2209), ((0, -1), (1, 0))),
+]
+GOLDEN_REDUCE_SWEEP = "e6c7ce2eae04bf420982d14d"
+
+
+def test_reduce_form_pinned():
+    got = [reduce_and_transform(BinaryQF(*abc)) for abc in REDUCE_CASES]
+    assert got == GOLDEN_REDUCE
+    rng = random.Random("golden/reduce")
+    sweep = []
+    for _ in range(300):
+        a = rng.randrange(1, 500)
+        b = rng.randrange(-3000, 3001)
+        c = (b * b) // (4 * a) + 1 + rng.randrange(0, 200)
+        sweep.append(reduce_and_transform(BinaryQF(a, b, c)))
+    assert digest(sweep) == GOLDEN_REDUCE_SWEEP
+
+
+def reduce_and_transform(f):
+    red, m = qform.reduce_form(f)
+    return (red.a, red.b, red.c), m
+
+
+GOLDEN_COMPOSE = [
+    ((2, 2, 71), (-2, 1)),
+    ((1, 0, 141), (-275, 15)),
+    ((2, 2, 71), (23, -2)),
+    ((1, 0, 141), (186, 11)),
+]
+
+
+def test_compose_with_coords_pinned():
+    cg = qform.class_group(-564)
+    got = []
+    for i, j, v1, v2 in [(0, 1, (1, 0), (2, -1)), (1, 1, (3, 1), (-1, 4)),
+                         (2, 5, (1, 1), (0, 1)), (3, 4, (2, 3), (5, -2))]:
+        h, w = qform.compose_with_coords(cg.forms[i], v1, cg.forms[j], v2)
+        got.append(((h.a, h.b, h.c), w))
+    assert got == GOLDEN_COMPOSE
+
+
+GOLDEN_CORNACCHIA = [
+    (-131, 122),
+    (209, 110),
+    (-12, 49),
+    (-171, -3),
+    None,
+]
+
+
+def test_cornacchia_pinned():
+    got = []
+    for abc, z in [((1, 0, 1), 5 * 13 * 17 * 29), ((1, 1, 3), 11 * 11 * 23 * 37),
+                   ((2, 1, 3), 3 * 3 * 13 * 59), ((1, 0, 1), 2 * 3 * 3 * 5 * 5 * 5 * 13),
+                   ((5, 4, 29), 5 * 7 * 7 * 11)]:
+        got.append(qform.cornacchia(BinaryQF(*abc), z, arith.factor_completely(z)))
+    assert got == GOLDEN_CORNACCHIA
