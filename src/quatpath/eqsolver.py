@@ -18,6 +18,7 @@ checked against its defining equation before it escapes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -152,6 +153,13 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
 # genus randomization
 
 
+# Per-class divisor tables kept for reuse.  A table is keyed on (D, m) and
+# m carries the target n, so the cache bound caps memory across targets
+# while one solve_master call, which needs two tables, always hits.
+_DIVISOR_TABLE_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_DIVISOR_TABLE_CACHE)
 def _class_divisor_table(D, m):
     """Per-class small divisors: entries[i] = (d_i, witness) with
     forms[i](witness) = d_i, every d_i odd, prime (or 1 for the principal
@@ -187,16 +195,6 @@ def _class_divisor_table(D, m):
     return cg, tuple(entries)
 
 
-_DIVISOR_TABLES: dict = {}
-
-
-def _divisor_table(D, m):
-    key = (D, m)
-    if key not in _DIVISOR_TABLES:
-        _DIVISOR_TABLES[key] = _class_divisor_table(D, m)
-    return _DIVISOR_TABLES[key]
-
-
 def genus_randomizer_B(D, m, rng):
     """Uniform class of discriminant D plus a represented divisor.
 
@@ -208,7 +206,7 @@ def genus_randomizer_B(D, m, rng):
     if m < 1:
         raise ValidationError("m must be >= 1")
     if abs(D) <= GENUS_ENUM_DISC_BOUND:
-        cg, entries = _divisor_table(D, m)
+        cg, entries = _class_divisor_table(D, m)
         i = rng.randrange(cg.h)
         d, wit = entries[i]
         return cg.forms[i], d, wit
@@ -338,7 +336,7 @@ def equation_instance(f, gamma, b, n, det_fac=None):
         left = ((1, (1, 0)),)
     else:
         m0 = 2 * n * b * abs(g_gamma.disc)
-        cgf, left = _divisor_table(f.disc, m0)
+        cgf, left = _class_divisor_table(f.disc, m0)
         primes = [d for d, _ in left if d > 1]
         b0 = math.prod(primes)
         rho = _craft_left_transform(g_gamma, gamma, b0, primes, b, n)

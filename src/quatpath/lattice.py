@@ -18,7 +18,7 @@ from .errors import BudgetError
 __all__ = [
     "GramForm",
     "lll_reduce",
-    "gauss_reduce_binary",
+    "reduce_binary",
     "cvp_dim2",
     "sample_ellipsoid_dim2",
     "count_ellipsoid_dim2",
@@ -156,8 +156,8 @@ def _gso(g, n):
     return b, mu
 
 
-def lll_reduce(form: GramForm, delta: Fraction = Fraction(3, 4)) -> tuple[GramForm, tuple]:
-    """LLL with parameter delta, working on the Gram matrix directly.
+def lll_reduce(form: GramForm) -> tuple[GramForm, tuple]:
+    """LLL with parameter delta = 3/4, working on the Gram matrix directly.
 
     Returns (reduced_form, U) with U unimodular and U G U^T the reduced
     Gram, rows of U giving the reduced basis in the original coordinates.
@@ -189,7 +189,7 @@ def lll_reduce(form: GramForm, delta: Fraction = Fraction(3, 4)) -> tuple[GramFo
             if q:
                 row_sub(k, j, q)
                 bvals, mu = _gso(g, n)
-        if bvals[k] >= (delta - mu[k][k - 1] ** 2) * bvals[k - 1]:
+        if bvals[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bvals[k - 1]:
             k += 1
         else:
             swap(k)
@@ -198,39 +198,35 @@ def lll_reduce(form: GramForm, delta: Fraction = Fraction(3, 4)) -> tuple[GramFo
     return GramForm(g, check=False), tuple(tuple(row) for row in u)
 
 
-def gauss_reduce_binary(form: GramForm) -> tuple[GramForm, tuple]:
-    """Minkowski (Gauss) reduction of a rank-2 form.
+def reduce_binary(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple]:
+    """Canonical reduction of the positive definite form a*x^2 + b*x*y + c*y^2.
 
-    Output satisfies f(b1) <= f(b2) and |2<b1,b2>| <= f(b1), which is
-    what the ellipsoid sampler's analysis needs.
+    Returns ((a, b, c), U): the reduced coefficients, with -a < b <= a <= c
+    and b >= 0 when a = c, and U in SL2(Z) whose rows are the reduced
+    basis in the input's coordinates, so f_red(x) = f(x U).  This is the
+    package's one binary reduction; qform.reduce_form reads U transposed.
     """
-    if form.rank != 2:
-        raise ValueError("rank-2 form required")
-    a, b, c = form.binary_coeffs()
-    u = [[1, 0], [0, 1]]
+    r0, r1 = (1, 0), (0, 1)
     while True:
-        if a > c:
-            a, c = c, a
-            b = -b
-            u[0], u[1] = u[1], u[0]
-            u[0] = [-x for x in u[0]]
-        # now a <= c; shear to bring |b| <= a
         if abs(b) > a:
-            # shear by round(b / 2a); floor(x + 1/2) handles both signs
-            q = (2 * b + 2 * a) // (4 * a)
-            # b_2 <- b_2 - q b_1
-            c = a * q * q - b * q + c
-            b = b - 2 * a * q
-            u[1] = [x - q * y for x, y in zip(u[1], u[0])]
-            continue
-        if a > c:
-            continue
-        break
-    h = Fraction(b, 2)
-    return GramForm(((Fraction(a), h), (h, Fraction(c))), check=False), (
-        tuple(u[0]),
-        tuple(u[1]),
-    )
+            # shear b2 <- b2 + k*b1 bringing b into (-a, a]
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * a * k, a * k * k + b * k + c
+            r1 = (r1[0] + k * r0[0], r1[1] + k * r0[1])
+        elif a > c or (a == c and b < 0):
+            # (b1, b2) <- (b2, -b1)
+            a, b, c = c, -b, a
+            r0, r1 = r1, (-r0[0], -r0[1])
+        elif b == -a:
+            b = a
+            r1 = (r1[0] + r0[0], r1[1] + r0[1])
+        else:
+            return (a, b, c), (r0, r1)
+
+
+def _to_input(z, u) -> tuple[int, int]:
+    """Reduced coordinates z back to the input basis: z U."""
+    return (z[0] * u[0][0] + z[1] * u[1][0], z[0] * u[0][1] + z[1] * u[1][1])
 
 
 def _cvp2_scaled(a: int, b: int, c: int, n1: int, n2: int, d: int) -> tuple[int, int]:
@@ -307,28 +303,73 @@ def cvp_dim2(form: GramForm, target) -> tuple[int, int]:
 # discretization bias is invisible next to sampling noise at desk scale.
 _GRID_BITS = 16
 
+# The coset sampler draws from sets of up to this many points exactly, by
+# enumeration, and from larger ones by rejection.
+_ENUMERATE_THRESHOLD = 4096
 
-def sample_ellipsoid_dim2(form: GramForm, rho: int, rng: random.Random) -> tuple[int, int]:
-    """Uniform sample from {x in Z^2 : f(x) <= rho}.
 
-    Two branches: if rho < f(b2) for a Minkowski-reduced basis, the set
-    is one-dimensional along b1 and we sample an integer multiple
-    directly.  Otherwise: sample a near-continuous point in the ball of
-    squared radius (sqrt(rho) + mu)^2, round to the lattice, accept if
-    inside.  Acceptance regions are translates of the Voronoi cell, so
-    accepted outputs are uniform.
+def _reduced_coset(form: GramForm, shift):
+    """((a, b, c), U, (p1, p2, d)) for the point set {x : f(x + shift) <= rho}.
+
+    The set is {x' U : f_red(x' + s') <= rho} with (a, b, c) reduced and
+    s' = shift U^-1 = (p1, p2)/d.  U is in SL2(Z), so U^-1 is integral and
+    s' keeps the denominator d of the shift.
     """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    if rho == 0:
-        return (0, 0)
-    red, u = gauss_reduce_binary(form)
-    a, b, c = red.binary_coeffs()
-    if rho < c:
-        # all lattice points of value <= rho lie on the b1 line
-        kmax = math.isqrt(rho // a)
-        k = rng.randint(-kmax, kmax)
-        return (k * u[0][0], k * u[0][1])
+    (a, b, c), u = reduce_binary(*form.binary_coeffs())
+    s1 = Fraction(shift[0])
+    s2 = Fraction(shift[1])
+    d = math.lcm(s1.denominator, s2.denominator)
+    q1 = s1.numerator * (d // s1.denominator)
+    q2 = s2.numerator * (d // s2.denominator)
+    return (a, b, c), u, (q1 * u[1][1] - q2 * u[1][0], q2 * u[0][0] - q1 * u[0][1], d)
+
+
+def _box(a: int, b: int, c: int, d: int, rho: int) -> tuple[int, int]:
+    """Rows and columns of the box the row scan covers; the budgets cap these."""
+    disc4 = 4 * a * c - b * b
+    rd2 = rho * d * d
+    return (
+        2 * ((math.isqrt(4 * a * rd2 // disc4) + 1) // d) + 3,
+        2 * (math.isqrt(4 * c * rd2 // disc4) // d) + 3,
+    )
+
+
+def _rows(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int):
+    """The nonempty rows of {x in Z^2 : f(x + (p1, p2)/d) <= rho}, f reduced.
+
+    Yields (x2, lo, hi), x2 ascending: the row holds the points (x1, x2)
+    with lo <= x1 <= hi.  With m = x1*d + p1 and n = x2*d + p2, a point is
+    inside iff (2am + bn)^2 <= 4a*rho*d^2 - disc4*n^2.  Exact integer
+    arithmetic; one pass per row of the box, however many points the rows
+    hold.
+    """
+    disc4 = 4 * a * c - b * b
+    rd2 = rho * d * d
+    nbound = math.isqrt(4 * a * rd2 // disc4) + 1
+    for x2 in range((-nbound - p2) // d - 1, (nbound - p2) // d + 2):
+        n = x2 * d + p2
+        delta = 4 * a * rd2 - disc4 * n * n
+        if delta < 0:
+            continue
+        # |2am + bn| <= isqrt(delta) exactly, as 2am + bn is an integer
+        sq = math.isqrt(delta)
+        m_lo = -((sq + b * n) // (2 * a))
+        m_hi = (sq - b * n) // (2 * a)
+        lo = -((p1 - m_lo) // d)
+        hi = (m_hi - p1) // d
+        if lo <= hi:
+            yield x2, lo, hi
+
+
+def _sample_rejection(a, b, c, p1, p2, d, rho, rng) -> tuple[int, int]:
+    """Uniform x with f(x + (p1, p2)/d) <= rho, f reduced and the set nonempty.
+
+    Draws a point of the grid 2^-16 Z^2 uniformly from the ellipse of squared
+    radius (sqrt(rho) + mu)^2, mu bounding the covering radius, rounds it to
+    the nearest point of Z^2 + (p1, p2)/d and accepts it if inside.  The
+    acceptance regions are translates of one Voronoi cell, so accepted
+    points are uniform.  Returns reduced coordinates.
+    """
     disc4 = 4 * a * c - b * b
     # covering radius bound for integral binary forms: mu^2 <= (2/3) det(G)
     mu2 = disc4 // 6 + 1
@@ -339,205 +380,100 @@ def sample_ellipsoid_dim2(form: GramForm, rho: int, rng: random.Random) -> tuple
     # bounding box of the ellipse q <= S2 (scaled by t)
     w1 = math.isqrt(4 * c * s2t // disc4) + 1
     w2 = math.isqrt(4 * a * s2t // disc4) + 1
+    rd2 = rho * d * d
     for _ in range(100000):
         v1 = rng.randint(-w1, w1)
         v2 = rng.randint(-w2, w2)
         if a * v1 * v1 + b * v1 * v2 + c * v2 * v2 > s2t:
             continue
-        z = _cvp2_scaled(a, b, c, v1, v2, t)
-        if a * z[0] * z[0] + b * z[0] * z[1] + c * z[1] * z[1] <= rho:
-            # map back through the reduction transform
-            return (
-                z[0] * u[0][0] + z[1] * u[1][0],
-                z[0] * u[0][1] + z[1] * u[1][1],
-            )
-    raise RuntimeError("ellipsoid sampler failed to accept; this should not happen")
+        # nearest x to the target v/t - p/d, over the denominator t*d
+        z = _cvp2_scaled(a, b, c, v1 * d - p1 * t, v2 * d - p2 * t, t * d)
+        y1 = z[0] * d + p1
+        y2 = z[1] * d + p2
+        if a * y1 * y1 + b * y1 * y2 + c * y2 * y2 <= rd2:
+            return z
+    raise RuntimeError("ellipse sampler failed to accept; this should not happen")
 
 
-def _scan_basis(form: GramForm, shift):
-    """(reduced form, U, shift in reduced coordinates) for the row scans.
+def sample_ellipsoid_dim2(form: GramForm, rho: int, rng: random.Random) -> tuple[int, int]:
+    """Uniform sample from {x in Z^2 : f(x) <= rho}.
 
-    The point set {x : f(x + shift) <= rho} is carried to a
-    Lagrange-reduced basis by x = x' U, so the scan runs over short rows
-    no matter how skew the caller's basis is; U is unimodular, hence
-    U^-1 is integral and the shift keeps its denominator.  Integer
-    arithmetic throughout, and a no-op for already reduced forms.
+    If rho < f(b2) for a reduced basis, the set is one-dimensional along
+    b1 and an integer multiple is sampled directly; otherwise the
+    rejection core samples it.
     """
-    a, b, c = form.binary_coeffs()
-    u = ((1, 0), (0, 1))
-    while not (-a < b <= a <= c):
-        if c < a or (c == a and b < 0):
-            a, b, c = c, -b, a
-            u = (u[1], (-u[0][0], -u[0][1]))
-            continue
-        # nearest-integer shear pulls |b| down to at most a
-        t = -((2 * b + 2 * a) // (4 * a))
-        if t == 0 and not -a < b <= a:
-            t = -1 if b > 0 else 1
-        c = a * t * t + b * t + c
-        b = b + 2 * a * t
-        u = (u[0], (t * u[0][0] + u[1][0], t * u[0][1] + u[1][1]))
-    if u == ((1, 0), (0, 1)):
-        return form, u, (Fraction(shift[0]), Fraction(shift[1]))
-    red = GramForm.binary(a, b, c)
-    det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    s1 = Fraction(shift[0])
-    s2 = Fraction(shift[1])
-    sp1 = (s1 * u[1][1] - s2 * u[1][0]) / det
-    sp2 = (s2 * u[0][0] - s1 * u[0][1]) / det
-    return red, u, (sp1, sp2)
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if rho == 0:
+        return (0, 0)
+    (a, b, c), u = reduce_binary(*form.binary_coeffs())
+    if rho < c:
+        # all lattice points of value <= rho lie on the b1 line
+        kmax = math.isqrt(rho // a)
+        return _to_input((rng.randint(-kmax, kmax), 0), u)
+    return _to_input(_sample_rejection(a, b, c, 0, 0, 1, rho, rng), u)
 
 
 def count_ellipsoid_dim2(form: GramForm, shift, rho: int, budget: int = 10**8) -> int:
-    """Exact #{x in Z^2 : f(x + shift) <= rho}, by row enumeration.
+    """Exact #{x in Z^2 : f(x + shift) <= rho}, by the row scan.
 
     The scan runs over a reduced basis and costs one pass per row, so
     `budget` caps the row count; the number of points inside plays no
     role in the work done.
     """
-    if form.rank != 2:
-        raise ValueError("rank-2 form required")
+    (a, b, c), _, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
         return 0
-    form, _, shift = _scan_basis(form, shift)
-    a, b, c = form.binary_coeffs()
-    s1 = Fraction(shift[0])
-    s2 = Fraction(shift[1])
-    d = s1.denominator * s2.denominator // math.gcd(s1.denominator, s2.denominator)
-    p1 = int(s1 * d)
-    p2 = int(s2 * d)
-    disc4 = 4 * a * c - b * b
-    rd2 = rho * d * d
-    # n = x2*d + p2 ranges over |n| <= sqrt(4a*rd2/disc4)
-    nbound = math.isqrt(4 * a * rd2 // disc4) + 1
-    box_rows = 2 * (nbound // d) + 3
+    box_rows = _box(a, b, c, d, rho)[0]
     if box_rows > budget:
-        raise BudgetError(
-            f"enumeration rows {box_rows} exceed budget {budget}"
-        )
-    total = 0
-    x2_lo = (-nbound - p2) // d - 1
-    x2_hi = (nbound - p2) // d + 1
-    for x2 in range(x2_lo, x2_hi + 1):
-        n = x2 * d + p2
-        delta = 4 * a * rd2 - disc4 * n * n
-        if delta < 0:
-            continue
-        sq = math.isqrt(delta)
-        # membership: m in range iff (2am + bn)^2 <= delta (since 2a > 0)
-        center = -b * n
-        m_lo = -((-(center - sq)) // (2 * a))  # ceil((center - sq) / 2a)
-        m_hi = (center + sq) // (2 * a)
-        # fix the isqrt truncation exactly (off by at most one each side)
-        while (2 * a * (m_lo - 1) + b * n) ** 2 <= delta:
-            m_lo -= 1
-        while m_lo <= m_hi and (2 * a * m_lo + b * n) ** 2 > delta:
-            m_lo += 1
-        while (2 * a * (m_hi + 1) + b * n) ** 2 <= delta:
-            m_hi += 1
-        while m_hi >= m_lo and (2 * a * m_hi + b * n) ** 2 > delta:
-            m_hi -= 1
-        if m_hi < m_lo:
-            continue
-        # count m in [m_lo, m_hi] with m = p1 (mod d)
-        first = m_lo + ((p1 - m_lo) % d)
-        if first > m_hi:
-            continue
-        total += (m_hi - first) // d + 1
-    return total
+        raise BudgetError(f"enumeration rows {box_rows} exceed budget {budget}")
+    return sum(hi - lo + 1 for _, lo, hi in _rows(a, b, c, p1, p2, d, rho))
 
 
 def enumerate_ellipsoid_dim2(form: GramForm, shift, rho: int, budget: int = 10**8) -> list:
     """All x in Z^2 with f(x + shift) <= rho, by the same row scan as
     count_ellipsoid_dim2.  Refuses oversized boxes."""
-    if form.rank != 2:
-        raise ValueError("rank-2 form required")
+    (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
         return []
-    form, u, shift = _scan_basis(form, shift)
-    a, b, c = form.binary_coeffs()
-    s1 = Fraction(shift[0])
-    s2 = Fraction(shift[1])
-    d = s1.denominator * s2.denominator // math.gcd(s1.denominator, s2.denominator)
-    p1 = int(s1 * d)
-    p2 = int(s2 * d)
-    disc4 = 4 * a * c - b * b
-    rd2 = rho * d * d
-    nbound = math.isqrt(4 * a * rd2 // disc4) + 1
-    box_rows = 2 * (nbound // d) + 3
-    box_cols = 2 * (math.isqrt(4 * c * rd2 // disc4) // d) + 3
+    box_rows, box_cols = _box(a, b, c, d, rho)
     if box_rows * box_cols > budget:
         raise BudgetError(
             f"enumeration box {box_rows}x{box_cols} exceeds budget {budget}"
         )
-    out = []
-    x2_lo = (-nbound - p2) // d - 1
-    x2_hi = (nbound - p2) // d + 1
-    for x2 in range(x2_lo, x2_hi + 1):
-        n = x2 * d + p2
-        delta = 4 * a * rd2 - disc4 * n * n
-        if delta < 0:
-            continue
-        sq = math.isqrt(delta)
-        center = -b * n
-        m_lo = -((-(center - sq)) // (2 * a))
-        m_hi = (center + sq) // (2 * a)
-        while (2 * a * (m_lo - 1) + b * n) ** 2 <= delta:
-            m_lo -= 1
-        while m_lo <= m_hi and (2 * a * m_lo + b * n) ** 2 > delta:
-            m_lo += 1
-        while (2 * a * (m_hi + 1) + b * n) ** 2 <= delta:
-            m_hi += 1
-        while m_hi >= m_lo and (2 * a * m_hi + b * n) ** 2 > delta:
-            m_hi -= 1
-        if m_hi < m_lo:
-            continue
-        first = m_lo + ((p1 - m_lo) % d)
-        for m in range(first, m_hi + 1, d):
-            x1 = (m - p1) // d
-            out.append((x1 * u[0][0] + x2 * u[1][0], x1 * u[0][1] + x2 * u[1][1]))
-    return out
+    return [
+        _to_input((x1, x2), u)
+        for x2, lo, hi in _rows(a, b, c, p1, p2, d, rho)
+        for x1 in range(lo, hi + 1)
+    ]
 
 
-def sample_ellipsoid_coset_dim2(
-    form: GramForm, shift, rho: int, rng: random.Random, enumerate_threshold: int = 4096
-):
+def sample_ellipsoid_coset_dim2(form: GramForm, shift, rho: int, rng: random.Random):
     """Uniform sample from {x in Z^2 : f(x + shift) <= rho}, or None if empty.
 
-    Small sets are enumerated exactly; larger ones use the same
-    box-sample / round-to-nearest / accept scheme as sample_ellipsoid_dim2,
-    with rounding done in the translated lattice Z^2 + shift (whose
-    Voronoi cells are the same translates, so accepted points are uniform).
+    One pass of the row scan over a reduced basis, stopped as soon as it
+    has seen more than _ENUMERATE_THRESHOLD points.  A set no larger is
+    sampled exactly from the stored rows; a larger one goes to the
+    rejection core, which rounds in the translated lattice Z^2 + shift
+    (whose Voronoi cells are the same translates, so accepted points are
+    uniform).
     """
-    form, u, shift = _scan_basis(form, shift)
-    total = count_ellipsoid_dim2(form, shift, rho)
+    (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
+    if rho < 0:
+        return None
+    rows, total = [], 0
+    for x2, lo, hi in _rows(a, b, c, p1, p2, d, rho):
+        rows.append((x2, lo, hi))
+        total += hi - lo + 1
+        if total > _ENUMERATE_THRESHOLD:
+            return _to_input(_sample_rejection(a, b, c, p1, p2, d, rho, rng), u)
     if total == 0:
         return None
-    if total <= enumerate_threshold:
-        pts = enumerate_ellipsoid_dim2(form, shift, rho)
-        z = pts[rng.randrange(len(pts))]
-        return (z[0] * u[0][0] + z[1] * u[1][0], z[0] * u[0][1] + z[1] * u[1][1])
-    a, b, c = form.binary_coeffs()
-    s1 = Fraction(shift[0])
-    s2 = Fraction(shift[1])
-    disc4 = 4 * a * c - b * b
-    mu2 = disc4 // 6 + 1
-    s2bound = rho + mu2 + 2 * (math.isqrt(rho * mu2) + 1)
-    t = 1 << _GRID_BITS
-    s2t = s2bound * t * t
-    w1 = math.isqrt(4 * c * s2t // disc4) + 1
-    w2 = math.isqrt(4 * a * s2t // disc4) + 1
-    for _ in range(100000):
-        v1 = rng.randint(-w1, w1)
-        v2 = rng.randint(-w2, w2)
-        if a * v1 * v1 + b * v1 * v2 + c * v2 * v2 > s2t:
-            continue
-        z = cvp_dim2(form, (Fraction(v1, t) - s1, Fraction(v2, t) - s2))
-        y1 = z[0] + s1
-        y2 = z[1] + s2
-        if a * y1 * y1 + b * y1 * y2 + c * y2 * y2 <= rho:
-            return (z[0] * u[0][0] + z[1] * u[1][0], z[0] * u[0][1] + z[1] * u[1][1])
-    raise RuntimeError("coset sampler failed to accept; this should not happen")
+    k = rng.randrange(total)
+    for x2, lo, hi in rows:
+        if lo + k <= hi:
+            return _to_input((lo + k, x2), u)
+        k -= hi - lo + 1
 
 
 def sample_ellipsoid(

@@ -19,10 +19,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(r: int, c: int) -> Mat:
-    return tuple(tuple(0 for _ in range(c)) for _ in range(r))
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
@@ -34,20 +30,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def mat_vec(a: Mat, v) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def vec_mat(v, a: Mat) -> tuple:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
-
-
-def mat_scale(a: Mat, s) -> Mat:
-    return tuple(tuple(x * s for x in row) for row in a)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_neg(a: Mat) -> Mat:

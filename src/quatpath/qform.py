@@ -97,28 +97,8 @@ _ID2 = ((1, 0), (0, 1))
 
 def reduce_form(f: BinaryQF) -> tuple[BinaryQF, tuple]:
     """Reduced representative plus m in SL2(Z) with reduced = f o m."""
-    a, b, c = f.a, f.b, f.c
-    m = _ID2
-    while True:
-        if abs(b) > a:
-            # shear x -> x + ky bringing b into (-a, a]
-            k = (a - b) // (2 * a)
-            b, c = b + 2 * a * k, a * k * k + b * k + c
-            m = _mul2(m, ((1, k), (0, 1)))
-            continue
-        if a > c:
-            a, b, c = c, -b, a
-            m = _mul2(m, ((0, -1), (1, 0)))
-            continue
-        if a == c and b < 0:
-            b = -b
-            m = _mul2(m, ((0, -1), (1, 0)))
-            continue
-        if b == -a:
-            b = a
-            m = _mul2(m, ((1, 1), (0, 1)))
-            continue
-        break
+    (a, b, c), u = lattice.reduce_binary(f.a, f.b, f.c)
+    m = ((u[0][0], u[1][0]), (u[0][1], u[1][1]))
     red = BinaryQF(a, b, c)
     assert f.transform(m) == red
     return red, m
@@ -265,12 +245,9 @@ def cornacchia(f: BinaryQF, z: int, fz: arith.Factorization):
         raise ValidationError("factorization does not match z")
     D = f.disc
     fdict = dict(fz.factors)
-    for e in _square_divisor_roots(fdict):
+    for e, zp_exps in _square_divisors(fdict):
         zp = z // (e * e)
-        four_zp = dict(fdict)
-        for p in _prime_powers_of(e):
-            four_zp[p[0]] -= 2 * p[1]
-        four_zp = {p: k for p, k in four_zp.items() if k > 0}
+        four_zp = {p: k for p, k in zp_exps.items() if k > 0}
         four_zp[2] = four_zp.get(2, 0) + 2
         seen = set()
         for r in _sqrt_mod_from_dict(D, four_zp):
@@ -287,17 +264,14 @@ def cornacchia(f: BinaryQF, z: int, fz: arith.Factorization):
     return None
 
 
-def _square_divisor_roots(fdict: dict) -> list[int]:
-    """All e with e^2 dividing the factored value."""
-    out = [1]
+def _square_divisors(fdict: dict) -> list:
+    """Every (e, exps) with e^2 dividing the factored value, e ascending;
+    exps maps each prime of fdict to its exponent in the value / e^2."""
+    out = [(1, {})]
     for p, k in fdict.items():
-        out = [d * p**i for d in out for i in range(k // 2 + 1)]
-    return sorted(out)
-
-
-def _prime_powers_of(e: int):
-    fac = arith.factor_completely(e)
-    return list(fac.factors)
+        out = [(d * p**i, {**exps, p: k - 2 * i})
+               for d, exps in out for i in range(k // 2 + 1)]
+    return sorted(out, key=lambda pair: pair[0])
 
 
 def _sqrt_mod_from_dict(n: int, fdict: dict) -> list[int]:

@@ -519,6 +519,22 @@ def test_represent_peels_p_powers():
     assert quat.special_order(alg).order.contains(el)
 
 
+def test_divisor_table_cache_is_bounded():
+    # every target n brings its own (D, m) key; the cache must not keep
+    # one table per target
+    bound = eqsolver._DIVISOR_TABLE_CACHE
+    eqsolver._class_divisor_table.cache_clear()
+    alg = quat.construct_algebra(103)
+    rng = random.Random(12)
+    n = 300_000
+    for _ in range(3 * bound):
+        n = arith.next_prime(n)
+        assert represent_in_O0(alg, n, rng).nrd() == n
+    info = eqsolver._class_divisor_table.cache_info()
+    assert info.misses >= 3 * bound
+    assert info.currsize <= bound
+
+
 def test_represent_infeasible_small_n():
     # 21 is not a sum of two squares and sits under every prime window
     rng = random.Random(20)

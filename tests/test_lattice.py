@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatpath import linalg
+from quatpath import linalg, qform
 from quatpath.errors import BudgetError
 from quatpath.lattice import (
     GramForm,
@@ -18,8 +18,8 @@ from quatpath.lattice import (
     cvp_dim2,
     enumerate_by_value,
     enumerate_ellipsoid_dim2,
-    gauss_reduce_binary,
     lll_reduce,
+    reduce_binary,
     sample_ellipsoid,
     sample_ellipsoid_coset_dim2,
     sample_ellipsoid_dim2,
@@ -121,13 +121,23 @@ def test_lll_reduce():
 
 
 def test_gauss_reduce_binary():
+    # the one binary reduction: canonical output, an SL2(Z) transform
+    # carrying the input to it, and the same steps as qform.reduce_form
     rng = random.Random(22)
-    for _ in range(200):
-        f = rand_posdef(rng, 2)
-        red, u = gauss_reduce_binary(f)
-        a, b, c = red.binary_coeffs()
+    forms = [rand_posdef(rng, 2).binary_coeffs() for _ in range(200)]
+    # boundaries of the fundamental domain (b = -a, a = c), reached directly,
+    # by a swap (162, 162, 63) and by a shear ((3, 3, 5) sheared by 5)
+    forms += [(3, -3, 5), (3, 3, 5), (5, -2, 5), (5, 2, 5), (4, -4, 4), (4, 4, 4),
+              (7, 7, 7), (2, -2, 2), (162, 162, 63), (3, 33, 95)]
+    for abc in forms:
+        (a, b, c), u = reduce_binary(*abc)
         assert abs(b) <= a <= c
-        assert f.transform(u).gram == red.gram
+        assert -a < b <= a <= c and (a != c or b >= 0)
+        assert linalg.det_bareiss(u) == 1
+        assert GramForm.binary(*abc).transform(u).gram == GramForm.binary(a, b, c).gram
+        red, m = qform.reduce_form(qform.BinaryQF(*abc))
+        assert (red.a, red.b, red.c) == (a, b, c)
+        assert linalg.transpose(m) == u
 
 
 def test_cvp_dim2_exact():
