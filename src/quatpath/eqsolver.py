@@ -121,26 +121,28 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
     if rho < 0:
         raise BudgetError("empty solution set: n < a leaves no room for z > 0")
 
+    # Root class x0 is the coset (x0, 0) + L of the lattice L spanned by the
+    # columns of ((a, shear), (0, 1)); over that basis it is x0/a + Z^2.
     if a == 1:
-        basis = _ID2
+        shear = 0
         offsets = [0]
     else:
         inv2a = arith.inv_mod(2 * gt.a, a)
-        basis = ((a, 0), ((-gt.b * inv2a) % a, 1))
+        shear = (-gt.b * inv2a) % a
         moduli = [rk for rk, _ in root_sets]
         offsets = []
         for combo in itertools.product(*(roots for _, roots in root_sets)):
             w0 = arith.crt(list(combo), moduli)[0]
             offsets.append((w0 * inv2a) % a)
         rng.shuffle(offsets)
-    gram = gt.gram().transform(basis)
+    sub = gt.transform(((a, shear), (0, 1)))
 
     for x0 in offsets:
         shift = (Fraction(x0, a), Fraction(0))
-        pt = lattice.sample_ellipsoid_coset_dim2(gram, shift, rho, rng)
+        pt = lattice.sample_ellipsoid_coset_dim2(sub, shift, rho, rng)
         if pt is None:
             continue
-        v = (pt[0] * basis[0][0] + pt[1] * basis[1][0] + x0, pt[1])
+        v = (pt[0] * a + pt[1] * shear + x0, pt[1])
         x, y = qform._apply(m, v)
         val = g.value(x, y)
         z, rem = divmod(n - b * val, a)

@@ -224,44 +224,53 @@ class KlptContext:
     failures: dict
 
     def verify(self):
+        """Re-check every relation of the transcript; True or ValidationError."""
         so = quat.special_order(self.ideal.alg)
         p = self.ideal.alg.p
         n1v, n2v = self.n1.value(), self.n2.value()
         n = self.prime_norm
         target = n2v * self.ell**self.extra_exp
-        assert self.randomized.is_sublattice_of(self.ideal)
-        assert self.randomized.nrd == self.ideal.nrd * n1v
-        assert arith.is_prime(n)
-        assert arith.kronecker(self.ell, n) == -1
-        assert (
-            quat.equiv_from_element(self.randomized, self.to_prime_witness)
-            == self.prime_ideal
-        )
-        assert self.prime_ideal.norm() == n
-        assert so.order.contains(self.norm_rep)
-        assert self.norm_rep.nrd() == n
+        _require(self.randomized.is_sublattice_of(self.ideal), "randomized in ideal")
+        _require(self.randomized.nrd == self.ideal.nrd * n1v, "nrd(randomized)")
+        _require(arith.is_prime(n), "prime_norm is prime")
+        _require(arith.kronecker(self.ell, n) == -1, "(ell / prime_norm) = -1")
+        _require(quat.equiv_from_element(self.randomized, self.to_prime_witness)
+                 == self.prime_ideal, "to_prime_witness")
+        _require(self.prime_ideal.norm() == n, "norm(prime_ideal)")
+        _require(so.order.contains(self.norm_rep), "norm_rep in O0")
+        _require(self.norm_rep.nrd() == n, "nrd(norm_rep)")
         b0, b1 = self.line_select
         g = self.coeff_lattice
-        assert g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n)
+        _require(g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n), "det(coeff_lattice)")
         cols = linalg.hnf(((g[0][0], g[1][0]), (g[0][1], g[1][1])))
         want = linalg.hnf(((b0, b1), (n, 0), (0, n)))
-        assert tuple(cols) == tuple(want)
+        _require(tuple(cols) == tuple(want), "coeff_lattice spans line_select")
         w = self.norm_rep * (so.alg.one * b0 + so.omega * b1) * so.alg.j
-        assert so.order.scale(n).add(so.order.mul_right(w)) == self.prime_ideal
+        _require(so.order.scale(n).add(so.order.mul_right(w)) == self.prime_ideal,
+                 "line_select")
         s, t, x, y = self.quadratic_sol
         f = so.f
-        assert n * n * f.value(s, t) + p * f.transform(g).value(x, y) == target
+        _require(n * n * f.value(s, t) + p * f.transform(g).value(x, y) == target,
+                 "quadratic_sol")
         xp = g[0][0] * x + g[0][1] * y
         yp = g[1][0] * x + g[1][1] * y
-        assert self.combined == so.embed(n * s, n * t, xp, yp)
-        assert self.combined.nrd() == target
+        _require(self.combined == so.embed(n * s, n * t, xp, yp), "combined")
+        _require(self.combined.nrd() == target, "nrd(combined)")
         prod = self.norm_rep * self.combined
-        assert self.prime_ideal.contains(prod)
-        assert prod * self.to_prime_witness * Fraction(1, n) == self.connector
-        assert self.randomized.contains(self.connector)
-        assert quat.equiv_from_element(self.ideal, self.connector) == self.output
-        assert self.output.norm() == n1v * target
+        _require(self.prime_ideal.contains(prod), "norm_rep*combined in prime_ideal")
+        _require(prod * self.to_prime_witness * Fraction(1, n) == self.connector,
+                 "connector")
+        _require(self.randomized.contains(self.connector), "connector in randomized")
+        _require(quat.equiv_from_element(self.ideal, self.connector) == self.output,
+                 "output")
+        _require(self.output.norm() == n1v * target, "norm(output)")
         return True
+
+
+def _require(holds: bool, relation: str):
+    """Raise ValidationError naming the transcript relation that fails."""
+    if not holds:
+        raise ValidationError(f"transcript check failed: {relation}")
 
 
 def _window_base(p, ell, n2v):

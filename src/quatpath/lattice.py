@@ -1,9 +1,12 @@
 """Positive definite quadratic-form lattices.
 
 A GramForm is a rank-r lattice presented by its Gram matrix: the lattice
-is Z^r, the geometry comes from f(x) = x^T G x.  Everything is exact:
-entries are Fractions (half-integers allowed off the diagonal), bounds
-are compared by integer arithmetic, never floats.
+is Z^r, the geometry comes from f(x) = x^T G x.  The package builds them
+for its rank-4 quaternion lattices.  The rank-2 layer (reduce_binary,
+cvp_dim2, the *_dim2 functions) instead takes a positive definite binary
+form, a qform.BinaryQF, and reads its integer coefficients a, b, c.
+Everything is exact: entries are Fractions (half-integers allowed off the
+diagonal), bounds are compared by integer arithmetic, never floats.
 """
 
 from __future__ import annotations
@@ -64,12 +67,6 @@ class GramForm:
             if minor <= 0:
                 raise ValueError("form is not positive definite")
 
-    @staticmethod
-    def binary(a: int, b: int, c: int) -> "GramForm":
-        """Form a*x^2 + b*x*y + c*y^2."""
-        h = Fraction(b, 2)
-        return GramForm(((Fraction(a), h), (h, Fraction(c))))
-
     def value(self, x) -> Fraction:
         g = self.gram
         n = self.rank
@@ -119,14 +116,6 @@ class GramForm:
         """Gram of the basis with rows u (new = u * old), i.e. u G u^T."""
         g = linalg.mat_mul(linalg.mat_mul(u, self.gram), linalg.transpose(u))
         return GramForm(g, check=False)
-
-    def binary_coeffs(self) -> tuple[int, int, int]:
-        if self.rank != 2:
-            raise ValueError("rank-2 form required")
-        a = int(self.gram[0][0])
-        c = int(self.gram[1][1])
-        b2 = 2 * self.gram[0][1]
-        return a, int(b2), c
 
     def __eq__(self, other):
         return isinstance(other, GramForm) and self.gram == other.gram
@@ -283,14 +272,12 @@ def _cvp2_scaled(a: int, b: int, c: int, n1: int, n2: int, d: int) -> tuple[int,
     return best
 
 
-def cvp_dim2(form: GramForm, target) -> tuple[int, int]:
-    """Closest lattice vector to a rational target in a rank-2 form.
+def cvp_dim2(form, target) -> tuple[int, int]:
+    """Closest lattice vector to a rational target in a binary form.
 
     Ties on Voronoi boundaries break lexicographically on the vector.
     """
-    if form.rank != 2:
-        raise ValueError("rank-2 form required")
-    a, b, c = form.binary_coeffs()
+    a, b, c = form.a, form.b, form.c
     t1 = Fraction(target[0])
     t2 = Fraction(target[1])
     d = t1.denominator * t2.denominator // math.gcd(t1.denominator, t2.denominator)
@@ -308,14 +295,14 @@ _GRID_BITS = 16
 _ENUMERATE_THRESHOLD = 4096
 
 
-def _reduced_coset(form: GramForm, shift):
+def _reduced_coset(form, shift):
     """((a, b, c), U, (p1, p2, d)) for the point set {x : f(x + shift) <= rho}.
 
     The set is {x' U : f_red(x' + s') <= rho} with (a, b, c) reduced and
     s' = shift U^-1 = (p1, p2)/d.  U is in SL2(Z), so U^-1 is integral and
     s' keeps the denominator d of the shift.
     """
-    (a, b, c), u = reduce_binary(*form.binary_coeffs())
+    (a, b, c), u = reduce_binary(form.a, form.b, form.c)
     s1 = Fraction(shift[0])
     s2 = Fraction(shift[1])
     d = math.lcm(s1.denominator, s2.denominator)
@@ -395,7 +382,7 @@ def _sample_rejection(a, b, c, p1, p2, d, rho, rng) -> tuple[int, int]:
     raise RuntimeError("ellipse sampler failed to accept; this should not happen")
 
 
-def sample_ellipsoid_dim2(form: GramForm, rho: int, rng: random.Random) -> tuple[int, int]:
+def sample_ellipsoid_dim2(form, rho: int, rng: random.Random) -> tuple[int, int]:
     """Uniform sample from {x in Z^2 : f(x) <= rho}.
 
     If rho < f(b2) for a reduced basis, the set is one-dimensional along
@@ -406,7 +393,7 @@ def sample_ellipsoid_dim2(form: GramForm, rho: int, rng: random.Random) -> tuple
         raise ValueError("rho must be >= 0")
     if rho == 0:
         return (0, 0)
-    (a, b, c), u = reduce_binary(*form.binary_coeffs())
+    (a, b, c), u = reduce_binary(form.a, form.b, form.c)
     if rho < c:
         # all lattice points of value <= rho lie on the b1 line
         kmax = math.isqrt(rho // a)
@@ -414,7 +401,7 @@ def sample_ellipsoid_dim2(form: GramForm, rho: int, rng: random.Random) -> tuple
     return _to_input(_sample_rejection(a, b, c, 0, 0, 1, rho, rng), u)
 
 
-def count_ellipsoid_dim2(form: GramForm, shift, rho: int, budget: int = 10**8) -> int:
+def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
     """Exact #{x in Z^2 : f(x + shift) <= rho}, by the row scan.
 
     The scan runs over a reduced basis and costs one pass per row, so
@@ -430,7 +417,7 @@ def count_ellipsoid_dim2(form: GramForm, shift, rho: int, budget: int = 10**8) -
     return sum(hi - lo + 1 for _, lo, hi in _rows(a, b, c, p1, p2, d, rho))
 
 
-def enumerate_ellipsoid_dim2(form: GramForm, shift, rho: int, budget: int = 10**8) -> list:
+def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list:
     """All x in Z^2 with f(x + shift) <= rho, by the same row scan as
     count_ellipsoid_dim2.  Refuses oversized boxes."""
     (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
@@ -448,7 +435,7 @@ def enumerate_ellipsoid_dim2(form: GramForm, shift, rho: int, budget: int = 10**
     ]
 
 
-def sample_ellipsoid_coset_dim2(form: GramForm, shift, rho: int, rng: random.Random):
+def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
     """Uniform sample from {x in Z^2 : f(x + shift) <= rho}, or None if empty.
 
     One pass of the row scan over a reduced basis, stopped as soon as it

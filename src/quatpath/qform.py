@@ -70,9 +70,6 @@ class BinaryQF:
             self.value(q, s),
         )
 
-    def gram(self) -> lattice.GramForm:
-        return lattice.GramForm.binary(self.a, self.b, self.c)
-
 
 def _mul2(m, n):
     return (
@@ -102,10 +99,6 @@ def reduce_form(f: BinaryQF) -> tuple[BinaryQF, tuple]:
     red = BinaryQF(a, b, c)
     assert f.transform(m) == red
     return red, m
-
-
-def equivalent(f: BinaryQF, g: BinaryQF) -> bool:
-    return reduce_form(f)[0] == reduce_form(g)[0]
 
 
 def principal_form(D: int) -> BinaryQF:
@@ -404,9 +397,8 @@ def representation_count(f: BinaryQF, N: int) -> int:
     """Exact #{(x, y) in Z^2 : f(x, y) = N}."""
     if N <= 0:
         raise ValidationError("N must be positive")
-    g = f.gram()
-    return lattice.count_ellipsoid_dim2(g, (0, 0), N) - lattice.count_ellipsoid_dim2(
-        g, (0, 0), N - 1
+    return lattice.count_ellipsoid_dim2(f, (0, 0), N) - lattice.count_ellipsoid_dim2(
+        f, (0, 0), N - 1
     )
 
 
@@ -427,9 +419,11 @@ def _form_content(form: lattice.GramForm) -> int:
     return c
 
 
-def sample_prime_binary(
-    f: BinaryQF, rng: random.Random, max_doublings: int = 48
-) -> tuple[int, int, int]:
+# Radius doublings of a prime-value hunt before it gives up.
+_MAX_DOUBLINGS = 48
+
+
+def sample_prime_binary(f: BinaryQF, rng: random.Random) -> tuple[int, int, int]:
     """Random (s, t) with f(s, t) prime.
 
     Samples uniformly from growing ellipses, starting at radius |D| and
@@ -438,13 +432,12 @@ def sample_prime_binary(
     """
     if not f.is_primitive:
         raise ValidationError("a primitive form is required")
-    g = f.gram()
     d = abs(f.disc)
     rho = d
     tries = 64 * max(1, d.bit_length())
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         for _ in range(tries):
-            s, t = lattice.sample_ellipsoid_dim2(g, rho, rng)
+            s, t = lattice.sample_ellipsoid_dim2(f, rho, rng)
             val = f.value(s, t)
             if val >= 2 and arith.is_prime(val, rng):
                 return s, t, val
@@ -537,38 +530,23 @@ def _coprime_value_vector(red: lattice.GramForm) -> tuple:
     return tuple(v)
 
 
-def _prime_hunt_plane(f: lattice.GramForm):
-    """LLL basis plus a rank-2 sublattice u, v with coprime corner values.
+def sample_prime_general(f: lattice.GramForm, rng: random.Random) -> tuple[tuple, int]:
+    """Random x with f(x) prime, for a primitive integral form of rank >= 2.
 
-    Returns (U, u_coords, v_coords, binary) where binary is the form
-    restricted to Z u + Z v and the coords are rows in f's basis.
+    Hunts on the plane Z u + Z v, u the first LLL-reduced basis vector and
+    v one with f(v) coprime to f(u), through the binary form f restricts to.
     """
-    if f.rank == 2:
-        a, b, c = f.binary_coeffs()
-        return None, (1, 0), (0, 1), BinaryQF(a, b, c)
+    if _form_content(f) != 1:
+        raise ValidationError("a primitive form is required")
     red, u_mat = lattice.lll_reduce(f)
     v = _coprime_value_vector(red)
     fu = int(red.gram[0][0])
     fv = red.value_int(v)
     cross = red.inner(tuple(1 if i == 0 else 0 for i in range(f.rank)), v)
-    binary = BinaryQF(fu, int(2 * cross), fv)
     assert math.gcd(fu, fv) == 1
-    u_coords = u_mat[0]
-    v_coords = tuple(
-        sum(v[i] * u_mat[i][j] for i in range(f.rank)) for j in range(f.rank)
-    )
-    return u_mat, u_coords, v_coords, binary
-
-
-def sample_prime_general(
-    f: lattice.GramForm, rng: random.Random, max_doublings: int = 48
-) -> tuple[tuple, int]:
-    """Random x with f(x) prime, for a primitive integral form of rank >= 2."""
-    if _form_content(f) != 1:
-        raise ValidationError("a primitive form is required")
-    _, u_coords, v_coords, binary = _prime_hunt_plane(f)
-    s, t, val = sample_prime_binary(binary, rng, max_doublings)
-    x = tuple(s * a + t * b for a, b in zip(u_coords, v_coords))
+    s, t, val = sample_prime_binary(BinaryQF(fu, int(2 * cross), fv), rng)
+    v_coords = (sum(v[i] * u_mat[i][j] for i in range(f.rank)) for j in range(f.rank))
+    x = tuple(s * a + t * b for a, b in zip(u_mat[0], v_coords))
     assert f.value_int(x) == val
     return x, val
 
@@ -576,51 +554,37 @@ def sample_prime_general(
 def sample_prime_large(
     f: lattice.GramForm, rho: int, rng: random.Random, max_tries: int | None = None
 ) -> tuple[tuple, int]:
-    """Random x with f(x) a prime in [rho, rho^2].
+    """Random x with f(x) a prime in [rho, rho^2], for any rank.
 
-    Rank 2 uses ellipse rejection sampling.  Higher ranks reject from the
-    full-rank ellipsoid; if the window is too sparse for rejection to hit
-    anything, fall back to exact enumeration so a prime is found whenever
-    one exists at all.
+    Rejects from the full-rank ellipsoid; if the window is too sparse for
+    rejection to hit anything, falls back to exact enumeration so a prime
+    is found whenever one exists at all.
     """
     if _form_content(f) != 1:
         raise ValidationError("a primitive form is required")
     if rho < 2:
         raise ValidationError("rho must be at least 2")
     hi = rho * rho
-    if f.rank > 2:
-        tries = max_tries if max_tries is not None else 512 * max(8, hi.bit_length())
-        try:
-            for _ in range(tries):
-                x = lattice.sample_ellipsoid(f, hi, rng, max_tries=4096)
-                val = f.value_int(x)
-                if rho <= val <= hi and arith.is_prime(val):
-                    return x, val
-        except BudgetError:
-            pass
-        pool = []
-        seen = 0
-        for x, val in lattice.enumerate_by_value(f, hi, lower=rho):
-            seen += 1
-            if seen > 2 * 10**6:
-                raise BudgetError("prime window too large to enumerate")
-            if arith.is_prime(val):
-                pool.append((x, val))
-        if not pool:
-            raise BudgetError("no prime found in the requested window")
-        return pool[rng.randrange(len(pool))]
-    _, u_coords, v_coords, binary = _prime_hunt_plane(f)
-    g = binary.gram()
-    if max_tries is None:
-        max_tries = 256 * max(8, hi.bit_length())
-    for _ in range(max_tries):
-        s, t = lattice.sample_ellipsoid_dim2(g, hi, rng)
-        val = binary.value(s, t)
-        if rho <= val <= hi and arith.is_prime(val):
-            x = tuple(s * a + t * b for a, b in zip(u_coords, v_coords))
-            assert f.value_int(x) == val
-            return x, val
-    raise BudgetError("no prime found in the requested window")
+    tries = max_tries if max_tries is not None else 512 * max(8, hi.bit_length())
+    try:
+        for _ in range(tries):
+            x = lattice.sample_ellipsoid(f, hi, rng, max_tries=4096)
+            val = f.value_int(x)
+            if rho <= val <= hi and arith.is_prime(val):
+                return x, val
+    except BudgetError:
+        pass
+    pool = []
+    seen = 0
+    for x, val in lattice.enumerate_by_value(f, hi, lower=rho):
+        seen += 1
+        if seen > 2 * 10**6:
+            raise BudgetError("prime window too large to enumerate")
+        if arith.is_prime(val):
+            pool.append((x, val))
+    if not pool:
+        raise BudgetError("no prime found in the requested window")
+    return pool[rng.randrange(len(pool))]
 
 
 def class_walk(D: int, m: int, rng: random.Random, steps: int | None = None):

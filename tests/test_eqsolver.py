@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from quatpath import arith, eqsolver, qform, quat
+from quatpath import arith, eqsolver, lattice, qform, quat
 from quatpath.arith import Factorization
 from quatpath.eqsolver import (
     equation_instance,
@@ -533,6 +533,24 @@ def test_divisor_table_cache_is_bounded():
     info = eqsolver._class_divisor_table.cache_info()
     assert info.misses >= 3 * bound
     assert info.currsize <= bound
+
+
+def test_represent_builds_no_gramform(monkeypatch):
+    # the norm-equation stack samples on integer binary forms; a Fraction
+    # Gram matrix is only for the rank-4 quaternion lattices
+    calls = []
+    init = lattice.GramForm.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    algs = [quat.construct_algebra(p) for p in (1019, 1013, 1009)]
+    monkeypatch.setattr(lattice.GramForm, "__init__", counting_init)
+    for alg in algs:
+        n = arith.next_prime(37 * alg.p * alg.p)
+        assert represent_in_O0(alg, n, random.Random(alg.p)).nrd() == n
+    assert calls == []
 
 
 def test_represent_infeasible_small_n():

@@ -1,8 +1,12 @@
 """Every name a module lists in __all__ must exist, so a deleted function
-cannot linger in an export list."""
+cannot linger in an export list; every name the benchmark traces must
+exist, so a rename cannot break a traced run."""
 
+import functools
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import quatpath
 
@@ -15,3 +19,17 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"quatpath.{info.name}.__all__ lists missing {name}"
             checked += 1
     assert checked > 0
+
+
+def test_every_traced_name_resolves():
+    # perfbench/spans.py imports only the standard library
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    specs = list(spans._specs())
+    for mod_name, _, attr in specs:
+        module = importlib.import_module(f"quatpath.{mod_name}")
+        # raises AttributeError naming the missing attribute
+        functools.reduce(getattr, attr.split("."), module)
+    assert specs

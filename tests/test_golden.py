@@ -68,13 +68,12 @@ COSET_CASES = [
 
 
 def az_coset(g: BinaryQF, a: int, n: int):
-    """The Gram and root-class shifts sample_az_plus_bg builds for b = 1."""
+    """The form and root-class shifts sample_az_plus_bg builds for b = 1."""
     m = qform._coprime_leading_transform(g, a)
     gt = g.transform(m)
     target = (4 * gt.a * n) % a
     inv2a = arith.inv_mod(2 * gt.a, a)
-    basis = ((a, 0), ((-gt.b * inv2a) % a, 1))
-    gram = gt.gram().transform(basis)
+    gram = gt.transform(((a, (-gt.b * inv2a) % a), (0, 1)))
     shifts = sorted(Fraction((r * inv2a) % a, a) for r in arith.sqrt_mod(target, a, 1))
     return gram, shifts
 
@@ -88,7 +87,7 @@ def coset_outputs():
             size = lattice.count_ellipsoid_dim2(gram, shift, rho)
             rng = random.Random(f"golden/coset/{g}/{rho}")
             draws = [lattice.sample_ellipsoid_coset_dim2(gram, shift, rho, rng) for _ in range(6)]
-            out.append((gram.binary_coeffs(), str(shift[0]), rho, size, digest(draws)))
+            out.append(((gram.a, gram.b, gram.c), str(shift[0]), rho, size, digest(draws)))
     return out
 
 
@@ -164,7 +163,7 @@ GOLDEN_SHIFTED = [
 def test_count_and_enumerate_pinned():
     got = []
     for abc, shift, rho in SHIFTED_CASES:
-        gram = lattice.GramForm.binary(*abc)
+        gram = BinaryQF(*abc)
         pts = sorted(lattice.enumerate_ellipsoid_dim2(gram, shift, rho))
         got.append((lattice.count_ellipsoid_dim2(gram, shift, rho), len(pts), digest(pts)))
     assert got == GOLDEN_SHIFTED

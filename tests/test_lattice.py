@@ -25,6 +25,7 @@ from quatpath.lattice import (
     sample_ellipsoid_dim2,
     shortest_nonzero,
 )
+from quatpath.qform import BinaryQF
 
 
 def rand_posdef(rng, n, spread=6):
@@ -34,6 +35,18 @@ def rand_posdef(rng, n, spread=6):
         g = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         if linalg.det_bareiss(tuple(map(tuple, g))) != 0:
             return GramForm(g)
+
+
+def rand_binary(rng, spread=6):
+    """The binary form of a random rank-2 rand_posdef Gram."""
+    g = rand_posdef(rng, 2, spread).gram
+    return BinaryQF(int(g[0][0]), int(2 * g[0][1]), int(g[1][1]))
+
+
+def as_gram(f):
+    """The Fraction Gram of a binary form, for the brute-force oracles."""
+    h = Fraction(f.b, 2)
+    return GramForm(((f.a, h), (h, f.c)))
 
 
 def brute_box(form, shift, rho):
@@ -84,7 +97,7 @@ def test_gramform_validation():
 
 
 def test_value_and_inner():
-    f = GramForm.binary(2, 3, 5)
+    f = GramForm(((2, Fraction(3, 2)), (Fraction(3, 2), 5)))
     assert f.value((1, 0)) == 2
     assert f.value((0, 1)) == 5
     assert f.value((1, 1)) == 10
@@ -124,7 +137,7 @@ def test_gauss_reduce_binary():
     # the one binary reduction: canonical output, an SL2(Z) transform
     # carrying the input to it, and the same steps as qform.reduce_form
     rng = random.Random(22)
-    forms = [rand_posdef(rng, 2).binary_coeffs() for _ in range(200)]
+    forms = [(f.a, f.b, f.c) for f in (rand_binary(rng) for _ in range(200))]
     # boundaries of the fundamental domain (b = -a, a = c), reached directly,
     # by a swap (162, 162, 63) and by a shear ((3, 3, 5) sheared by 5)
     forms += [(3, -3, 5), (3, 3, 5), (5, -2, 5), (5, 2, 5), (4, -4, 4), (4, 4, 4),
@@ -134,8 +147,8 @@ def test_gauss_reduce_binary():
         assert abs(b) <= a <= c
         assert -a < b <= a <= c and (a != c or b >= 0)
         assert linalg.det_bareiss(u) == 1
-        assert GramForm.binary(*abc).transform(u).gram == GramForm.binary(a, b, c).gram
-        red, m = qform.reduce_form(qform.BinaryQF(*abc))
+        assert BinaryQF(*abc).transform(linalg.transpose(u)) == BinaryQF(a, b, c)
+        red, m = qform.reduce_form(BinaryQF(*abc))
         assert (red.a, red.b, red.c) == (a, b, c)
         assert linalg.transpose(m) == u
 
@@ -143,24 +156,25 @@ def test_gauss_reduce_binary():
 def test_cvp_dim2_exact():
     rng = random.Random(23)
     for _ in range(150):
-        f = rand_posdef(rng, 2, spread=4)
+        f = rand_binary(rng, spread=4)
+        g = as_gram(f)
         t = (Fraction(rng.randrange(-40, 41), 8), Fraction(rng.randrange(-40, 41), 8))
         got = cvp_dim2(f, t)
-        best = f.value((got[0] - t[0], got[1] - t[1]))
+        best = g.value((got[0] - t[0], got[1] - t[1]))
         # any strictly closer point would sit inside the dual-bounded box
-        box = brute_box(f, (-t[0], -t[1]), best)
+        box = brute_box(g, (-t[0], -t[1]), best)
         for x in range(-box[0], box[0] + 1):
             for y in range(-box[1], box[1] + 1):
-                assert f.value((x - t[0], y - t[1])) >= best
+                assert g.value((x - t[0], y - t[1])) >= best
 
 
 def test_count_and_enumerate_ellipsoid_dim2():
     rng = random.Random(24)
     for _ in range(100):
-        f = rand_posdef(rng, 2, spread=3)
+        f = rand_binary(rng, spread=3)
         rho = rng.randrange(1, 60)
         shift = (Fraction(rng.randrange(-8, 9), 4), Fraction(rng.randrange(-8, 9), 4))
-        want = brute_points(f, shift, rho)
+        want = brute_points(as_gram(f), shift, rho)
         assert count_ellipsoid_dim2(f, shift, rho) == len(want)
         got = enumerate_ellipsoid_dim2(f, shift, rho)
         assert sorted(got) == sorted(want)
@@ -168,20 +182,20 @@ def test_count_and_enumerate_ellipsoid_dim2():
 
 def test_count_ellipsoid_budget():
     with pytest.raises(BudgetError):
-        count_ellipsoid_dim2(GramForm.binary(1, 0, 1), (0, 0), 10**9, budget=100)
+        count_ellipsoid_dim2(BinaryQF(1, 0, 1), (0, 0), 10**9, budget=100)
 
 
 def test_sample_ellipsoid_dim2_support_and_balance():
     # uniform over every lattice point of the disk, zero included
-    f = GramForm.binary(1, 0, 1)
+    f = BinaryQF(1, 0, 1)
     rho = 4
-    pts = brute_points(f, (0, 0), rho)
+    pts = brute_points(as_gram(f), (0, 0), rho)
     rng = random.Random(25)
     counts = {p: 0 for p in pts}
     n = 4000
     for _ in range(n):
         x = sample_ellipsoid_dim2(f, rho, rng)
-        assert f.value(x) <= rho
+        assert f.value(*x) <= rho
         counts[x] += 1
     assert all(c > 0 for c in counts.values())
     mean = n / len(pts)
@@ -192,18 +206,18 @@ def test_sample_ellipsoid_dim2_support_and_balance():
 def test_sample_ellipsoid_dim2_degenerate_radius():
     # disk smaller than the second minimum: only multiples of the
     # shortest vector survive, sampler must still work
-    f = GramForm.binary(1, 0, 100)
+    f = BinaryQF(1, 0, 100)
     rng = random.Random(26)
     for _ in range(100):
         x = sample_ellipsoid_dim2(f, 9, rng)
-        assert f.value(x) <= 9 and x[1] == 0
+        assert f.value(*x) <= 9 and x[1] == 0
 
 
 def test_sample_ellipsoid_coset_dim2():
-    f = GramForm.binary(2, 1, 3)
+    f = BinaryQF(2, 1, 3)
     shift = (Fraction(1, 3), Fraction(-1, 3))
     rho = 40
-    pts = brute_points(f, shift, rho)
+    pts = brute_points(as_gram(f), shift, rho)
     rng = random.Random(27)
     counts = {p: 0 for p in pts}
     for _ in range(3000):
@@ -231,7 +245,7 @@ def test_sample_ellipsoid_general_rank():
 
 def test_sample_ellipsoid_budget():
     # radius below the first minimum: nothing to sample
-    f = GramForm.binary(5, 0, 7)
+    f = GramForm(((5, 0), (0, 7)))
     with pytest.raises(BudgetError):
         sample_ellipsoid(f, 3, random.Random(29), max_tries=500)
 
@@ -268,7 +282,7 @@ def test_enumerate_by_value_matches_brute():
 
 
 def test_enumerate_by_value_exact_boundary():
-    f = GramForm.binary(1, 0, 1)
+    f = GramForm(((1, 0), (0, 1)))
     hits = [x for x, v in enumerate_by_value(f, 25, lower=25)]
     assert sorted(hits) == [(0, 5), (3, -4), (3, 4), (4, -3), (4, 3), (5, 0)]
 

@@ -20,7 +20,6 @@ from quatpath.qform import (
     compose,
     compose_with_coords,
     cornacchia,
-    equivalent,
     fundamental_discriminant,
     genus_representation_count,
     prime_form,
@@ -334,9 +333,10 @@ def test_sample_prime_large_window():
     from quatpath.lattice import GramForm
 
     rng = random.Random(47)
-    f2 = principal_form(-4).gram()
+    f2 = GramForm(((1, 0), (0, 1)))
     for rho in (10, 50, 211):
         x, val = sample_prime_large(f2, rho, rng)
+        assert f2.value_int(x) == val
         assert rho <= val <= rho * rho
         assert arith.is_prime(val)
     g4 = GramForm(
