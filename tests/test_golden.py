@@ -2,8 +2,8 @@
 
 Each expected value below was recorded once from the code as it stood and
 must never be edited to follow a change: a refactor of the binary
-reduction, the rank-2 lattice layer or the norm-equation stack has to
-reproduce every one of them.  Long outputs are pinned by a digest of their
+reduction, the rank-2 lattice layer, the norm-equation stack or the
+quaternion layer has to reproduce every one of them.  Long outputs are pinned by a digest of their
 repr, short ones literally.
 
 sample_ellipsoid_dim2 is left out on purpose: its draws depend on which of
@@ -15,7 +15,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from quatpath import arith, eqsolver, lattice, qform, quat
+from quatpath import arith, eqsolver, klpt, lattice, qform, quat
 from quatpath.arith import Factorization
 from quatpath.qform import BinaryQF
 
@@ -254,3 +254,45 @@ def test_cornacchia_pinned():
                    ((5, 4, 29), 5 * 7 * 7 * 11)]:
         got.append(qform.cornacchia(BinaryQF(*abc), z, arith.factor_completely(z)))
     assert got == GOLDEN_CORNACCHIA
+
+
+# ---------------------------------------------------------------------------
+# quaternion ideals: walks, prime-norm equivalents, orders, classes
+
+
+def json_digest(lat) -> str:
+    return hashlib.sha256(lat.to_json().encode()).hexdigest()[:24]
+
+
+GOLDEN_QUAT = [
+    (103, '1770719bab5beb86b15c6f7f', '74e6fff23cfd6ae1dee00034', 8291,
+     ('-700', '477', '-68', '1'), 'e2e1271a5d4d657bf227447e', '74a1418c010332efb774050a'),
+    (101, 'ed52b1cf4485096686cbb732', '432c3d65f3b9c7cd5d82b62a', 7547,
+     ('-723', '-603/2', '0', '87/2'), '374394c62195adf019c8e5ed', '452b262fcc5035be2a160586'),
+    (97, '3faf07c907f10d769bd2d78d', '74f9daa789cfcd787e77ac07', 7309,
+     ('-632', '454/7', '22', '-204/7'), '8bd5cce6003ff019c6a1dd7b', '6bb45612195f1bd46b329eaf'),
+]
+
+
+def test_quat_ideals_pinned():
+    # one prime per class: p = 3 mod 4, 5 mod 8, 1 mod 8
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 4), (3, 2)), 1))
+    got = []
+    for p in (103, 101, 97):
+        o0 = quat.special_order(quat.construct_algebra(p)).order
+        rng = random.Random(f"golden/quat/{p}")
+        walked = klpt.random_walk(o0, spec, rng)
+        prime_ideal, wit = quat.equiv_prime_large_nonresidue(walked, p, 2, rng)
+        right = quat.right_order(walked)
+        conn = quat.connecting_ideal(o0, right)
+        got.append((p, json_digest(walked), json_digest(prime_ideal), prime_ideal.norm(),
+                    tuple(str(c) for c in wit.coords), json_digest(right), json_digest(conn)))
+    assert got == GOLDEN_QUAT
+
+
+def test_class_representatives_pinned():
+    o0 = quat.special_order(quat.construct_algebra(37)).order
+    reps = klpt.ideal_class_representatives(o0, 2)
+    joined = "\n".join(r.to_json() for r in reps)
+    assert len(reps) == 3
+    assert hashlib.sha256(joined.encode()).hexdigest()[:24] == "de0d8dce8136b16c20caca25"
