@@ -27,6 +27,7 @@ __all__ = [
     "count_ellipsoid_dim2",
     "enumerate_ellipsoid_dim2",
     "sample_ellipsoid_coset_dim2",
+    "ellipsoid_sampler",
     "sample_ellipsoid",
     "enumerate_by_value",
     "shortest_nonzero",
@@ -463,14 +464,13 @@ def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
         k -= hi - lo + 1
 
 
-def sample_ellipsoid(
-    form: GramForm, rho, rng: random.Random, max_tries: int = 1 << 20
-) -> tuple:
-    """Uniform lattice point with 0 < f(x) <= rho, any rank.
+def ellipsoid_sampler(form: GramForm, rho):
+    """draw(rng, max_tries): uniform lattice points with 0 < f(x) <= rho.
 
     Rejection from the tight coordinate box of the LLL-reduced basis, so
-    the acceptance rate is a dimension-only constant.  Returns coordinates
-    over the original basis.
+    the acceptance rate is a dimension-only constant.  The reduction and
+    the box are computed here once; each draw returns coordinates over
+    the original basis or raises BudgetError after max_tries rejections.
     """
     n = form.rank
     red, u = lll_reduce(form)
@@ -479,16 +479,27 @@ def sample_ellipsoid(
     bounds = [_frac_floor_sqrt(rho * inv[i][i]) for i in range(n)]
     twog = tuple(tuple(int(2 * red.gram[i][j]) for j in range(n)) for i in range(n))
     two_rho_num = 2 * rho.numerator
-    for _ in range(max_tries):
-        x = tuple(rng.randint(-b, b) for b in bounds)
-        if not any(x):
-            continue
-        val2 = sum(
-            twog[i][j] * x[i] * x[j] for i in range(n) for j in range(n) if x[i] and x[j]
-        )
-        if val2 * rho.denominator <= two_rho_num:
-            return tuple(sum(x[i] * u[i][j] for i in range(n)) for j in range(n))
-    raise BudgetError("ellipsoid sampling budget exhausted")
+
+    def draw(rng: random.Random, max_tries: int) -> tuple:
+        for _ in range(max_tries):
+            x = tuple(rng.randint(-b, b) for b in bounds)
+            if not any(x):
+                continue
+            val2 = sum(
+                twog[i][j] * x[i] * x[j] for i in range(n) for j in range(n) if x[i] and x[j]
+            )
+            if val2 * rho.denominator <= two_rho_num:
+                return tuple(sum(x[i] * u[i][j] for i in range(n)) for j in range(n))
+        raise BudgetError("ellipsoid sampling budget exhausted")
+
+    return draw
+
+
+def sample_ellipsoid(
+    form: GramForm, rho, rng: random.Random, max_tries: int = 1 << 20
+) -> tuple:
+    """One draw of ellipsoid_sampler(form, rho): uniform 0 < f(x) <= rho."""
+    return ellipsoid_sampler(form, rho)(rng, max_tries)
 
 
 def _cholesky(form: GramForm):

@@ -566,9 +566,10 @@ def sample_prime_large(
         raise ValidationError("rho must be at least 2")
     hi = rho * rho
     tries = max_tries if max_tries is not None else 512 * max(8, hi.bit_length())
+    draw = lattice.ellipsoid_sampler(f, hi)
     try:
         for _ in range(tries):
-            x = lattice.sample_ellipsoid(f, hi, rng, max_tries=4096)
+            x = draw(rng, 4096)
             val = f.value_int(x)
             if rho <= val <= hi and arith.is_prime(val):
                 return x, val

@@ -1,14 +1,17 @@
 """The rational quaternion algebra ramified exactly at {p, infinity}.
 
-Elements are exact rational 4-vectors over the basis (1, i, j, ij) with
-i^2 = -q, j^2 = -p, ji = -ij.  Lattices carry a canonical integer HNF
-basis over one denominator, so equal lattices compare equal bitwise.
-On top of that sit orders, ideals, and the prime-norm equivalent-ideal
+Elements and lattices share one representation: integers over one
+positive denominator, in coordinates over the basis (1, i, j, ij) with
+i^2 = -q, j^2 = -p, ji = -ij.  An element is four numerators over a
+denominator in lowest terms; a lattice is a canonical integer HNF basis
+over one denominator.  So equal values compare equal bitwise.  On top of
+that sit orders, ideals, and the prime-norm equivalent-ideal
 constructions used by the path algorithms.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -25,9 +28,10 @@ class QuatAlgebra:
     q: int
 
     def element(self, c1, c2, c3, c4) -> "QuatElement":
-        return QuatElement(
-            self, (Fraction(c1), Fraction(c2), Fraction(c3), Fraction(c4))
-        )
+        """The element with these int or Fraction coordinates."""
+        fr = [Fraction(c) for c in (c1, c2, c3, c4)]
+        den = math.lcm(*(f.denominator for f in fr))
+        return QuatElement(self, tuple(f.numerator * (den // f.denominator) for f in fr), den)
 
     @property
     def one(self) -> "QuatElement":
@@ -61,82 +65,106 @@ def construct_algebra(p: int) -> QuatAlgebra:
     return QuatAlgebra(p, q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuatElement:
-    alg: QuatAlgebra
-    coords: tuple
+    """The element num / den: four integers over one denominator.
 
-    def _like(self, coords) -> "QuatElement":
-        return QuatElement(self.alg, tuple(Fraction(c) for c in coords))
+    The constructor brings it to lowest terms with den > 0, so equal
+    elements have equal fields.
+    """
+
+    alg: QuatAlgebra
+    num: tuple
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValidationError("the denominator must be positive")
+        g = math.gcd(self.den, *self.num)
+        if g != 1:
+            object.__setattr__(self, "num", tuple(c // g for c in self.num))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coords(self) -> tuple:
+        """The four coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __add__(self, other):
         self._check(other)
-        return self._like(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        num = tuple(a * d2 + b * d1 for a, b in zip(self.num, other.num))
+        return QuatElement(self.alg, num, d1 * d2)
 
     def __sub__(self, other):
-        self._check(other)
-        return self._like(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + -other
 
     def __neg__(self):
-        return self._like(tuple(-a for a in self.coords))
+        return QuatElement(self.alg, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._like(tuple(a * other for a in self.coords))
+            num = tuple(a * other.numerator for a in self.num)
+            return QuatElement(self.alg, num, self.den * other.denominator)
         self._check(other)
-        q = Fraction(self.alg.q)
-        p = Fraction(self.alg.p)
-        a1, a2, a3, a4 = self.coords
-        b1, b2, b3, b4 = other.coords
-        return self._like(
+        q, p = self.alg.q, self.alg.p
+        a1, a2, a3, a4 = self.num
+        b1, b2, b3, b4 = other.num
+        return QuatElement(
+            self.alg,
             (
                 a1 * b1 - q * a2 * b2 - p * a3 * b3 - q * p * a4 * b4,
                 a1 * b2 + a2 * b1 + p * a3 * b4 - p * a4 * b3,
                 a1 * b3 + a3 * b1 - q * a2 * b4 + q * a4 * b2,
                 a1 * b4 + a4 * b1 + a2 * b3 - a3 * b2,
-            )
+            ),
+            self.den * other.den,
         )
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._like(tuple(other * a for a in self.coords))
-        return NotImplemented
+    __rmul__ = __mul__  # scalars commute with every element
 
     def _check(self, other):
         if not isinstance(other, QuatElement) or other.alg != self.alg:
             raise ValidationError("algebra mismatch")
 
     def conj(self) -> "QuatElement":
-        c = self.coords
-        return self._like((c[0], -c[1], -c[2], -c[3]))
+        c = self.num
+        return QuatElement(self.alg, (c[0], -c[1], -c[2], -c[3]), self.den)
 
     def trd(self) -> Fraction:
-        return 2 * self.coords[0]
+        return Fraction(2 * self.num[0], self.den)
 
     def nrd(self) -> Fraction:
-        q, p = self.alg.q, self.alg.p
-        c = self.coords
-        return c[0] ** 2 + q * c[1] ** 2 + p * c[2] ** 2 + q * p * c[3] ** 2
+        return self.pairing(self)
 
     def pairing(self, other) -> Fraction:
         """(a*conj(b) + b*conj(a)) / 2, the bilinear form of nrd."""
         self._check(other)
-        q, p = self.alg.q, self.alg.p
-        a, b = self.coords, other.coords
-        return a[0] * b[0] + q * a[1] * b[1] + p * a[2] * b[2] + q * p * a[3] * b[3]
+        return Fraction(_pair(self.alg, self.num, other.num), self.den * other.den)
 
     def inverse(self) -> "QuatElement":
-        n = self.nrd()
+        n = _pair(self.alg, self.num, self.num)
         if n == 0:
             raise ValidationError("zero is not invertible")
-        return self._like(tuple(c / n for c in self.conj().coords))
+        return QuatElement(self.alg, tuple(c * self.den for c in self.conj().num), n)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
 
-def _nrd_weights(alg: QuatAlgebra):
-    return (1, alg.q, alg.p, alg.q * alg.p)
+def _pair(alg: QuatAlgebra, a, b) -> int:
+    """The pairing of two integer coordinate vectors."""
+    q, p = alg.q, alg.p
+    return a[0] * b[0] + q * a[1] * b[1] + p * a[2] * b[2] + q * p * a[3] * b[3]
+
+
+def _canonical(alg: QuatAlgebra, rows, den: int) -> "QuatLattice":
+    """The lattice spanned by the integer rows over den, in canonical form."""
+    h = linalg.hnf(tuple(rows))
+    if len(h) != 4:
+        raise ValidationError("lattice must have full rank 4")
+    g = math.gcd(den, *(c for row in h for c in row))
+    return QuatLattice(alg, den // g, tuple(tuple(c // g for c in row) for row in h))
 
 
 class QuatLattice:
@@ -153,11 +181,7 @@ class QuatLattice:
         self.alg = alg
         self.den = den
         self.mat = mat
-        w = _nrd_weights(alg)
-        gram = tuple(
-            tuple(sum(w[k] * mat[a][k] * mat[b][k] for k in range(4)) for b in range(4))
-            for a in range(4)
-        )
+        gram = tuple(tuple(_pair(alg, ra, rb) for rb in mat) for ra in mat)
         self.gram_scaled = gram  # pairing Gram times den^2
         g = 0
         for a in range(4):
@@ -168,56 +192,42 @@ class QuatLattice:
 
     @staticmethod
     def from_rows(alg: QuatAlgebra, rows) -> "QuatLattice":
-        coords = []
-        for r in rows:
-            if isinstance(r, QuatElement):
-                coords.append(r.coords)
-            else:
-                coords.append(tuple(Fraction(c) for c in r))
-        den = 1
-        for row in coords:
-            for c in row:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-        scaled = tuple(tuple(int(c * den) for c in row) for row in coords)
-        h = linalg.hnf(scaled)
-        if len(h) != 4:
-            raise ValidationError("lattice must have full rank 4")
-        g = den
-        for row in h:
-            for c in row:
-                g = math.gcd(g, c)
-        return QuatLattice(
-            alg, den // g, tuple(tuple(c // g for c in row) for row in h)
-        )
+        """The lattice spanned by a sequence of elements."""
+        den = math.lcm(*(r.den for r in rows))
+        return _canonical(alg, [tuple(c * (den // r.den) for c in r.num) for r in rows], den)
 
     def basis_elements(self) -> tuple:
-        d = self.den
-        return tuple(
-            QuatElement(self.alg, tuple(Fraction(c, d) for c in row))
-            for row in self.mat
-        )
+        return tuple(QuatElement(self.alg, row, self.den) for row in self.mat)
+
+    def _solve(self, el: QuatElement):
+        """Integer x with x * basis = el, or None: back-substitution on the HNF."""
+        if el.alg != self.alg or self.den % el.den:
+            return None
+        v = [c * (self.den // el.den) for c in el.num]
+        x = []
+        for k, row in enumerate(self.mat):
+            xk, r = divmod(v[k], row[k])
+            if r:
+                return None
+            x.append(xk)
+            for t in range(k + 1, 4):
+                v[t] -= xk * row[t]
+        return tuple(x)
 
     def contains(self, el: QuatElement) -> bool:
-        if el.alg != self.alg:
-            return False
-        v = tuple(c * self.den for c in el.coords)
-        x = linalg.vec_mat(v, linalg.inverse_fraction(self.mat))
-        return all(c.denominator == 1 for c in x)
+        return self._solve(el) is not None
 
     def coordinates_of(self, el: QuatElement) -> tuple:
         """Integer coordinates of el over the lattice basis."""
-        v = tuple(c * self.den for c in el.coords)
-        x = linalg.vec_mat(v, linalg.inverse_fraction(self.mat))
-        if not all(c.denominator == 1 for c in x):
+        x = self._solve(el)
+        if x is None:
             raise ValidationError("element is not in the lattice")
-        return tuple(int(c) for c in x)
+        return x
 
     def element_from(self, coords) -> QuatElement:
-        basis = self.basis_elements()
-        out = self.alg.element(0, 0, 0, 0)
-        for c, b in zip(coords, basis):
-            out = out + b * c
-        return out
+        """sum coords[k] * basis[k], for integer coords."""
+        num = tuple(sum(c * row[t] for c, row in zip(coords, self.mat)) for t in range(4))
+        return QuatElement(self.alg, num, self.den)
 
     def q_gram(self) -> lattice.GramForm:
         """Gram of the normalised form nrd/nrd(lattice) over the basis."""
@@ -260,22 +270,19 @@ class QuatLattice:
 
     def intersect(self, other: "QuatLattice") -> "QuatLattice":
         self._compat(other)
-        d = self.den * other.den // math.gcd(self.den, other.den)
+        d = math.lcm(self.den, other.den)
         ma = tuple(
             tuple(c * (d // self.den) for c in row) for row in self.mat
         )
         mb = tuple(
             tuple(c * (d // other.den) for c in row) for row in other.mat
         )
-        k = linalg.lattice_intersection(ma, mb)
-        return QuatLattice.from_rows(
-            self.alg, [tuple(Fraction(c, d) for c in row) for row in k]
-        )
+        return _canonical(self.alg, linalg.lattice_intersection(ma, mb), d)
 
     def scale(self, r) -> "QuatLattice":
-        return QuatLattice.from_rows(
-            self.alg, [tuple(Fraction(r) * c for c in row) for row in self._frac_rows()]
-        )
+        r = Fraction(r)
+        rows = [tuple(c * r.numerator for c in row) for row in self.mat]
+        return _canonical(self.alg, rows, self.den * r.denominator)
 
     def mul_left(self, el: QuatElement) -> "QuatLattice":
         return QuatLattice.from_rows(self.alg, [el * b for b in self.basis_elements()])
@@ -285,9 +292,6 @@ class QuatLattice:
 
     def conj_lattice(self) -> "QuatLattice":
         return QuatLattice.from_rows(self.alg, [b.conj() for b in self.basis_elements()])
-
-    def _frac_rows(self):
-        return [tuple(Fraction(c, self.den) for c in row) for row in self.mat]
 
     def _compat(self, other):
         if not isinstance(other, QuatLattice) or other.alg != self.alg:
@@ -314,12 +318,11 @@ class QuatLattice:
         return all(self.contains(a * b) for a in basis for b in basis)
 
     def is_maximal_order(self) -> bool:
+        """An order whose discriminant det(2 * Gram of nrd) is p^2."""
         if not self.is_order():
             return False
-        twog = tuple(
-            tuple(2 * Fraction(x, self.den**2) for x in row) for row in self.gram_scaled
-        )
-        return linalg.det_fraction(twog) == self.alg.p ** 2
+        twog = tuple(tuple(2 * x for x in row) for row in self.gram_scaled)
+        return linalg.det_bareiss(twog) == self.alg.p**2 * self.den**8
 
     # --- serialization ---
 
@@ -336,42 +339,36 @@ class QuatLattice:
 
     @staticmethod
     def from_json(s: str) -> "QuatLattice":
+        """The lattice to_json wrote; ValidationError on malformed input."""
         d = json.loads(s)
-        alg = QuatAlgebra(d["p"], d["q"])
-        rows = [tuple(Fraction(c, d["den"]) for c in row) for row in d["basis"]]
-        return QuatLattice.from_rows(alg, rows)
+        if not isinstance(d, dict) or not _ints(d.get("p"), d.get("q"), d.get("den")):
+            raise ValidationError("p, q and den must be integers")
+        alg = construct_algebra(d["p"])
+        if d["q"] != alg.q:
+            raise ValidationError(f"q must be {alg.q} for p = {alg.p}")
+        if d["den"] <= 0:
+            raise ValidationError("den must be positive")
+        rows = d.get("basis")
+        if not (isinstance(rows, list) and len(rows) == 4
+                and all(isinstance(r, list) and len(r) == 4 and _ints(*r) for r in rows)):
+            raise ValidationError("basis must be a 4x4 integer matrix")
+        return _canonical(alg, rows, d["den"])
+
+
+def _ints(*xs) -> bool:
+    return all(type(x) is int for x in xs)
 
 
 def left_order(lat: QuatLattice) -> QuatLattice:
-    """{x : x * lat inside lat}, computed exactly."""
-    return _multiplier_order(lat, right_side=False)
+    """{x : x * lat inside lat}, the intersection of lat * b^-1 over the basis."""
+    cands = [lat.mul_right(b.inverse()) for b in lat.basis_elements()]
+    return functools.reduce(QuatLattice.intersect, cands)
 
 
 def right_order(lat: QuatLattice) -> QuatLattice:
-    """{x : lat * x inside lat}."""
-    return _multiplier_order(lat, right_side=True)
-
-
-def _mul_matrix(b: QuatElement, right_side: bool):
-    """Matrix M with coords(x*b) = coords(x) * M (or b*x when right_side)."""
-    alg = b.alg
-    rows = []
-    for k in range(4):
-        e = alg.element(*(1 if t == k else 0 for t in range(4)))
-        prod = (b * e) if right_side else (e * b)
-        rows.append(prod.coords)
-    return tuple(rows)
-
-
-def _multiplier_order(lat: QuatLattice, right_side: bool) -> QuatLattice:
-    cur = None
-    for b in lat.basis_elements():
-        m = _mul_matrix(b, right_side)
-        minv = linalg.inverse_fraction(m)
-        rows = linalg.mat_mul(lat._frac_rows(), minv)
-        cand = QuatLattice.from_rows(lat.alg, rows)
-        cur = cand if cur is None else cur.intersect(cand)
-    return cur
+    """{x : lat * x inside lat}, the intersection of b^-1 * lat over the basis."""
+    cands = [lat.mul_left(b.inverse()) for b in lat.basis_elements()]
+    return functools.reduce(QuatLattice.intersect, cands)
 
 
 def connecting_ideal(o1: QuatLattice, o2: QuatLattice) -> QuatLattice:
@@ -456,7 +453,7 @@ def special_order(alg: QuatAlgebra) -> SpecialOrder:
         ]
         omega = alg.element(half, half, 0, 0)
         f = qform.BinaryQF(1, 1, (1 + q) // 4)
-    order = QuatLattice.from_rows(alg, rows)
+    order = QuatLattice.from_rows(alg, [alg.element(*r) for r in rows])
     sub = QuatLattice.from_rows(
         alg,
         [
@@ -477,10 +474,7 @@ def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:
         raise ValidationError("element must be nonzero")
     if not ideal.contains(el):
         raise ValidationError("element must lie in the ideal")
-    scale = Fraction(1) / ideal.nrd
-    cbar = el.conj()
-    rows = [(b * cbar) * scale for b in ideal.basis_elements()]
-    out = QuatLattice.from_rows(ideal.alg, rows)
+    out = ideal.mul_right(el.conj()).scale(1 / ideal.nrd)
     assert out.nrd == el.nrd() / ideal.nrd
     return out
 
@@ -553,7 +547,5 @@ def ideal_equivalence_test(i1: QuatLattice, i2: QuatLattice):
         return None
     gamma = k.element_from(hits[0][0])
     alpha = gamma.conj()
-    scale = Fraction(1) / i1.nrd
-    rows = [(b * gamma) * scale for b in i1.basis_elements()]
-    assert QuatLattice.from_rows(i1.alg, rows) == i2
+    assert i1.mul_right(gamma).scale(1 / i1.nrd) == i2
     return alpha

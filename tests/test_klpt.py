@@ -1,6 +1,8 @@
-"""The equivalent-ideal transcript: KlptContext.verify() on tampered input."""
+"""Brandt-graph neighbours, walks and class enumeration, and the
+equivalent-ideal transcript: KlptContext.verify() on tampered input."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,52 @@ from pathlib import Path
 import pytest
 
 import quatpath
+from quatpath import klpt, quat
+from quatpath.arith import Factorization
 from quatpath.errors import ValidationError
+
+
+def o0_and_ideal(p, rng):
+    """O0 at p and a left O0-ideal of norm 5 * 7, reached by a walk."""
+    o0 = quat.special_order(quat.construct_algebra(p)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    return o0, klpt.random_walk(o0, spec, rng)
+
+
+@pytest.mark.parametrize("p", [103, 101, 97])
+@pytest.mark.parametrize("ell", [2, 3])
+def test_ell_neighbors(p, ell):
+    o0, ideal = o0_and_ideal(p, random.Random(f"neighbors/{p}"))
+    for start in (o0, ideal):
+        nbs = klpt.ell_neighbors(start, ell)
+        assert len(nbs) == ell + 1 and len(set(nbs)) == ell + 1
+        for nb in nbs:
+            assert nb.nrd == start.nrd * ell
+            assert nb.is_sublattice_of(start) and nb.index_in(start) == ell * ell
+            assert quat.left_order(nb) == o0
+
+
+@pytest.mark.parametrize("p", [103, 101, 97])
+def test_random_walk_endpoint(p):
+    rng = random.Random(f"walk/{p}")
+    o0, ideal = o0_and_ideal(p, rng)
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 3), (3, 2)), 1))
+    for start in (o0, ideal):
+        end = klpt.random_walk(start, spec, rng)
+        assert end.nrd == start.nrd * 72
+        assert end.is_sublattice_of(start)
+        assert quat.left_order(end) == o0
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37])
+def test_class_number_is_eichlers(p):
+    # Eichler's mass formula for B_{p,oo}: floor(p/12) + (0, 1, 1, 2) for
+    # p = (1, 5, 7, 11) mod 12
+    want = p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
+    o0 = quat.special_order(quat.construct_algebra(p)).order
+    reps = klpt.ideal_class_representatives(o0, 2)
+    assert len(reps) == want
+    assert all(quat.left_order(r) == o0 for r in reps)
 
 # A transcript at p = 103 whose prime norm, 4, is not prime, with the input
 # ideal (the special order itself) as its output.

@@ -1,5 +1,6 @@
 """Quaternion algebra, orders, ideals, and equivalent-ideal search."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from quatpath import arith, linalg, quat
 from quatpath.errors import ValidationError
 from quatpath.quat import (
+    QuatElement,
     QuatLattice,
     connecting_ideal,
     construct_algebra,
@@ -90,6 +92,82 @@ def test_element_algebra_laws():
             assert (a + b).nrd() == a.nrd() + b.nrd() + 2 * a.pairing(b)
             if not a.is_zero():
                 assert a * a.inverse() == alg.one
+
+
+def rand_rational(rng):
+    return Fraction(rng.randrange(-60, 61), rng.randrange(1, 40))
+
+
+def test_elements_are_integers_over_one_denominator():
+    rng = random.Random(75)
+    for p in (103, 101, 97):
+        alg = construct_algebra(p)
+        for _ in range(300):
+            fr = [rand_rational(rng) for _ in range(4)]
+            el = alg.element(*fr)
+            assert all(type(c) is int for c in el.num) and type(el.den) is int
+            assert el.den > 0 and math.gcd(el.den, *el.num) == 1
+            assert el.den == math.lcm(*(f.denominator for f in fr))
+            assert el.coords == tuple(fr)
+            # coords round-trips through the algebra's constructor
+            assert alg.element(*el.coords) == el
+            # arithmetic results are in lowest terms as well
+            other = alg.element(*[rand_rational(rng) for _ in range(4)])
+            for out in (el + other, el - other, el * other, el * rand_rational(rng)):
+                assert out.den > 0 and math.gcd(out.den, *out.num) == 1
+    with pytest.raises(ValidationError):
+        QuatElement(alg, (1, 0, 0, 0), 0)
+
+
+def test_equal_values_compare_and_hash_equal():
+    alg = construct_algebra(103)
+    half = alg.element(Fraction(1, 2), 0, 0, 0)
+    pairs = [
+        (half, alg.one * Fraction(2, 4)),
+        (half, Fraction(3, 6) * alg.one),
+        (half, QuatElement(alg, (-3, 0, 0, 0), 1) * Fraction(-1, 6)),
+        (alg.element(0, Fraction(1, 2), 0, 0), (alg.i * 2) * Fraction(1, 4)),
+        (alg.element(0, 0, 0, 0), half - half),
+        (alg.one, (alg.i + alg.j).inverse() * (alg.i + alg.j)),
+        (QuatElement(alg, (4, 6, 8, 10), 4), alg.element(1, Fraction(3, 2), 2, Fraction(5, 2))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == (b.num, b.den)
+
+
+def fraction_coordinates(lat, el):
+    """Coordinates of el over lat's basis by a Fraction inverse (test oracle)."""
+    basis = tuple(tuple(Fraction(c, lat.den) for c in row) for row in lat.mat)
+    return linalg.vec_mat(el.coords, linalg.inverse_fraction(basis))
+
+
+def test_membership_agrees_with_fraction_oracle():
+    rng = random.Random(76)
+    for p in (103, 101, 97):
+        alg = construct_algebra(p)
+        so = special_order(alg)
+        lats = [so.order, so.suborder, random_left_ideal(so, 13, rng)]
+        lats.append(right_order(lats[-1]))
+        for lat in lats:
+            cands = []
+            for _ in range(40):
+                co = tuple(rng.randrange(-30, 31) for _ in range(4))
+                el = lat.element_from(co)
+                cands.append(el)  # member
+                cands.append(el * Fraction(1, rng.choice([2, 3, 5, 7])))  # wrong denominator
+                cands.append(QuatElement(alg, co, lat.den))  # off-lattice integers
+                cands.append(QuatElement(alg, co, 1))
+            for el in cands:
+                x = fraction_coordinates(lat, el)
+                inside = all(c.denominator == 1 for c in x)
+                assert lat.contains(el) == inside
+                if inside:
+                    assert lat.coordinates_of(el) == tuple(int(c) for c in x)
+                else:
+                    with pytest.raises(ValidationError):
+                        lat.coordinates_of(el)
+            assert not lat.contains(construct_algebra(1019).one)
 
 
 def test_nrd_multiplicative_bulk():
@@ -175,6 +253,47 @@ def test_json_round_trip():
         back = QuatLattice.from_json(s)
         assert back == ideal
         assert back.to_json() == s
+        # any integer basis over any denominator reads back canonically
+        d = json.loads(s)
+        b = d["basis"]
+        rows = [[x + 3 * y for x, y in zip(b[0], b[2])], b[1], b[2], [-x for x in b[3]]]
+        d.update(den=5 * d["den"], basis=[[5 * x for x in r] for r in rows])
+        assert QuatLattice.from_json(json.dumps(d)) == ideal
+
+
+O0_103 = json.loads(special_order(construct_algebra(103)).order.to_json())
+
+
+def with_entry(key, value):
+    return json.dumps({**O0_103, key: value})
+
+
+def with_basis(fn):
+    return with_entry("basis", fn([list(r) for r in O0_103["basis"]]))
+
+
+MALFORMED_JSON = {
+    "p=4": with_entry("p", 4),
+    "p=2": with_entry("p", 2),
+    "p=str": with_entry("p", "103"),
+    "q=5": with_entry("q", 5),
+    "q=true": with_entry("q", True),
+    "den=0": with_entry("den", 0),
+    "den=-2": with_entry("den", -2),
+    "den=float": with_entry("den", 2.0),
+    "float-entry": with_basis(lambda b: [[float(b[0][0])] + b[0][1:]] + b[1:]),
+    "3-rows": with_basis(lambda b: b[:3]),
+    "3-columns": with_basis(lambda b: [r[:3] for r in b]),
+    "singular": with_basis(lambda b: [b[0], b[0], b[2], b[3]]),
+    "not-an-object": json.dumps([103, 1]),
+    "no-basis": json.dumps({k: v for k, v in O0_103.items() if k != "basis"}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON.values(), ids=MALFORMED_JSON.keys())
+def test_from_json_rejects_malformed_input(text):
+    with pytest.raises(ValidationError):
+        QuatLattice.from_json(text)
 
 
 def test_orders_are_their_own_stabilizers():
