@@ -2,8 +2,9 @@
 
 Each expected value below was recorded once from the code as it stood and
 must never be edited to follow a change: a refactor of the binary
-reduction, the rank-2 lattice layer, the norm-equation stack or the
-quaternion layer has to reproduce every one of them.  Long outputs are pinned by a digest of their
+reduction, the rank-2 lattice layer, the norm-equation stack, the
+quaternion layer or the rank-4 LLL and Fincke-Pohst core has to reproduce
+every one of them.  Long outputs are pinned by a digest of their
 repr, short ones literally.
 
 sample_ellipsoid_dim2 is left out on purpose: its draws depend on which of
@@ -15,7 +16,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from quatpath import arith, eqsolver, klpt, lattice, qform, quat
+from quatpath import arith, eqsolver, klpt, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
 from quatpath.qform import BinaryQF
 
@@ -296,3 +297,90 @@ def test_class_representatives_pinned():
     joined = "\n".join(r.to_json() for r in reps)
     assert len(reps) == 3
     assert hashlib.sha256(joined.encode()).hexdigest()[:24] == "de0d8dce8136b16c20caca25"
+
+
+# ---------------------------------------------------------------------------
+# the rank-4 core: LLL and Fincke-Pohst on Gram forms
+
+
+def two_g(form) -> tuple:
+    """The integer matrix 2G of a form, read off its values alone."""
+    n = form.rank
+    e = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    f = [form.value_int(v) for v in e]
+    return tuple(
+        tuple(2 * f[i] if i == j else
+              form.value_int(tuple(a + b for a, b in zip(e[i], e[j]))) - f[i] - f[j]
+              for j in range(n))
+        for i in range(n)
+    )
+
+
+def skew_forms():
+    """Seeded skewed forms B^T A B / 2 of rank 2 to 5, A the A_n root Gram.
+
+    A has odd off-diagonal entries, so these forms have half-integers off
+    the diagonal of G, as every quaternion form does.
+    """
+    rng = random.Random("golden/lll")
+    out = []
+    for n in (2, 3, 4, 5):
+        a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+        while len(out) < 6 * (n - 1):
+            b = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+            m = [[sum(b[k][i] * a[k][t] * b[t][j] for k in range(n) for t in range(n))
+                  for j in range(n)] for i in range(n)]
+            if linalg.det_bareiss(tuple(map(tuple, m))) != 0:
+                out.append(lattice.GramForm([[Fraction(x, 2) for x in row] for row in m]))
+    return out
+
+
+def walked_forms():
+    """q_gram of the seeded walks of test_quat_ideals_pinned's spec."""
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 4), (3, 2)), 1))
+    out = []
+    for p in (103, 101, 97):
+        o0 = quat.special_order(quat.construct_algebra(p)).order
+        out.append((p, klpt.random_walk(o0, spec, random.Random(f"golden/quat/{p}")).q_gram()))
+    return out
+
+
+def lll_outputs(forms):
+    out = []
+    for form in forms:
+        red, u = lattice.lll_reduce(form)
+        out.append((tuple(map(tuple, u)), two_g(red)))
+    return out
+
+
+GOLDEN_LLL_SKEW = "44a76c48899cee6a75ec34a3"
+GOLDEN_LLL_QUAT = [
+    (103, '89cc78ac7b4bf4ec9a722c5c'),
+    (101, '47df0f623d80cb9be9b42fe3'),
+    (97, 'e7a69d8b8972a1073be9abcf'),
+]
+GOLDEN_ENUMERATE = [
+    (103, 1, 'b1253ace7835b1041a4410b8'),
+    (103, 51, '6ef0570f27605b21dc08a14b'),
+    (101, 1, '2b425cca2185e67c93df37e3'),
+    (101, 50, 'b1cfc85f10888f7fd7405e11'),
+    (97, 1, 'd1e5fa18f24749bb76a33281'),
+    (97, 48, '4040e01a1ccd7e9e9cd77247'),
+]
+
+
+def test_lll_reduce_pinned():
+    # mu = 1/2 exactly: the rounding tie goes up, as floor(mu + 1/2)
+    assert lll_outputs([lattice.GramForm(((2, 1), (1, 2)))]) == [
+        (((1, 0), (-1, 1)), ((4, -2), (-2, 4)))
+    ]
+    assert digest(lll_outputs(skew_forms())) == GOLDEN_LLL_SKEW
+    assert [(p, digest(lll_outputs([g]))) for p, g in walked_forms()] == GOLDEN_LLL_QUAT
+
+
+def test_enumerate_by_value_pinned():
+    got = []
+    for p, g in walked_forms():
+        for lower in (1, p // 2):
+            got.append((p, lower, digest(list(lattice.enumerate_by_value(g, p, lower=lower)))))
+    assert got == GOLDEN_ENUMERATE
