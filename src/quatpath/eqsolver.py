@@ -40,7 +40,6 @@ __all__ = [
     "represent_in_O0",
     "GENUS_ENUM_DISC_BOUND",
     "MASTER_MAX_ATTEMPTS",
-    "MASTER_SIZE_EXPONENT",
 ]
 
 LOG = logging.getLogger(__name__)
@@ -52,10 +51,6 @@ GENUS_ENUM_DISC_BOUND = 200_000
 # Retry budget for the master solver's sample-test-lift loop.
 MASTER_MAX_ATTEMPTS = 4000
 MASTER_STUCK_ATTEMPTS = 200
-
-# Exponent used when logging whether the asymptotic size conditions hold.
-# They are advisory at desk scale; only local solvability is enforced.
-MASTER_SIZE_EXPONENT = 1.0
 
 # Caps for the deterministic searches inside instance construction.
 _TABLE_PRIME_CAP = 1_000_000
@@ -450,23 +445,6 @@ def lift_genus_solution(inst, sol):
     return s, t, x, y
 
 
-def _size_report(inst):
-    """Whether the asymptotic hypotheses hold at this instance's sizes.
-
-    Logged for the record; desk-scale instances routinely violate them
-    and still succeed, which is the expected direction of the implication.
-    """
-    c = MASTER_SIZE_EXPONENT
-    ln = math.log(inst.n)
-    det = abs(_det2(inst.gamma))
-    report = {
-        "log_n_vs_log_b": ln >= c * math.log(max(inst.b, 2)),
-        "log_n_vs_log_det": ln >= math.log(max(det, 2)) ** c,
-        "log_n_vs_disc": ln >= abs(inst.f.disc) ** c,
-    }
-    return report
-
-
 def solve_master(inst, rng):
     """Random solution (s, t, x, y) of
     det(gamma)^2 f(s,t) + b*(f o gamma)(x,y) = n.
@@ -477,7 +455,6 @@ def solve_master(inst, rng):
     ValidationError on a local obstruction and BudgetError when the
     attempt budget runs out.
     """
-    LOG.debug("size report %s", _size_report(inst))
     _check_local_at_det(inst)
     if not inst.u_residues:
         raise ValidationError(

@@ -5,8 +5,9 @@ is Z^r, the geometry comes from f(x) = x^T G x.  The package builds them
 for its rank-4 quaternion lattices.  The rank-2 layer (reduce_binary,
 cvp_dim2, the *_dim2 functions) instead takes a positive definite binary
 form, a qform.BinaryQF, and reads its integer coefficients a, b, c.
-Everything is exact: entries are Fractions (half-integers allowed off the
-diagonal), bounds are compared by integer arithmetic, never floats.
+Everything is exact integer arithmetic, never floats: a GramForm holds
+the integer matrix 2G, and LLL, Fincke-Pohst enumeration and the
+ellipsoid sampler share one integral Gram-Schmidt computation.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "lll_reduce",
     "reduce_binary",
     "cvp_dim2",
-    "sample_ellipsoid_dim2",
     "count_ellipsoid_dim2",
     "enumerate_ellipsoid_dim2",
     "sample_ellipsoid_coset_dim2",
@@ -35,115 +35,133 @@ __all__ = [
 
 
 class GramForm:
-    """Integral quadratic form given by its Gram matrix.
+    """Integral positive definite quadratic form f(x) on Z^r.
 
-    Invariants: symmetric, positive definite, integer diagonal,
-    off-diagonal entries in (1/2)Z.  So f is integer-valued on Z^r.
+    Stored as one integer matrix m = 2G, the Gram matrix of the bilinear
+    form f(x + y) - f(x) - f(y), so f(x) = x^T m x / 2.  Its diagonal is
+    even.  The constructor takes G itself, with integer diagonal and
+    half-integers allowed off it, and checks those invariants and positive
+    definiteness.
     """
 
-    __slots__ = ("rank", "gram")
+    __slots__ = ("rank", "m")
 
-    def __init__(self, gram, check: bool = True):
+    def __init__(self, gram):
         g = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        self.rank = len(g)
-        self.gram = g
-        if check:
-            self._validate()
-
-    def _validate(self):
-        n = self.rank
-        if any(len(row) != n for row in self.gram):
+        n = len(g)
+        if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
         for i in range(n):
-            if self.gram[i][i].denominator != 1:
+            if g[i][i].denominator != 1:
                 raise ValueError("diagonal must be integral")
             for j in range(i + 1, n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix must be symmetric")
-                if (2 * self.gram[i][j]).denominator != 1:
+                if (2 * g[i][j]).denominator != 1:
                     raise ValueError("off-diagonal entries must be half-integers")
-        # positive definite iff all leading principal minors are positive
-        for k in range(1, n + 1):
-            minor = linalg.det_fraction(tuple(row[:k] for row in self.gram[:k]))
-            if minor <= 0:
-                raise ValueError("form is not positive definite")
+        self.rank = n
+        self.m = tuple(tuple(int(2 * x) for x in row) for row in g)
+        _gram_schmidt(self.m)  # raises unless every leading minor is positive
 
-    def value(self, x) -> Fraction:
-        g = self.gram
-        n = self.rank
-        total = Fraction(0)
-        for i in range(n):
-            xi = x[i]
-            if not xi:
-                continue
-            total += g[i][i] * xi * xi
-            for j in range(i + 1, n):
-                if x[j]:
-                    total += 2 * g[i][j] * xi * x[j]
-        return total
+    @classmethod
+    def _of(cls, m) -> "GramForm":
+        """The form with 2G = m, for an m that is already known to be valid."""
+        form = cls.__new__(cls)
+        form.rank = len(m)
+        form.m = m
+        return form
 
     def value_int(self, x) -> int:
-        v = self.value(x)
-        if v.denominator != 1:
-            raise ValueError("form value not integral on this input")
-        return v.numerator
-
-    def inner(self, x, y) -> Fraction:
-        g = self.gram
-        n = self.rank
-        total = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                if x[i] and y[j]:
-                    total += g[i][j] * x[i] * y[j]
-        return total
-
-    def det(self) -> Fraction:
-        return linalg.det_fraction(self.gram)
+        """f(x) for an integer vector x."""
+        m = self.m
+        twice = sum(m[i][j] * a * b for i, a in enumerate(x) if a for j, b in enumerate(x) if b)
+        return twice // 2
 
     def disc(self) -> int:
         """Parity-dependent discriminant: det(2G) up to sign and a half."""
-        d2 = linalg.det_fraction(tuple(tuple(2 * x for x in row) for row in self.gram))
+        d = linalg.det_bareiss(self.m)
         r = self.rank
         if r % 2 == 0:
-            val = (-1) ** (r // 2) * d2
-        else:
-            val = Fraction((-1) ** ((r + 1) // 2), 2) * d2
-        if val.denominator != 1:
-            raise ValueError("discriminant is not integral")
-        return val.numerator
+            return (-1) ** (r // 2) * d
+        # det(2G) is even at odd rank: 2G is alternating mod 2
+        return (-1) ** ((r + 1) // 2) * d // 2
 
     def transform(self, u) -> "GramForm":
-        """Gram of the basis with rows u (new = u * old), i.e. u G u^T."""
-        g = linalg.mat_mul(linalg.mat_mul(u, self.gram), linalg.transpose(u))
-        return GramForm(g, check=False)
+        """The form on the basis with rows u (new = u * old): 2G' = u 2G u^T."""
+        return GramForm._of(linalg.mat_mul(linalg.mat_mul(u, self.m), linalg.transpose(u)))
 
     def __eq__(self, other):
-        return isinstance(other, GramForm) and self.gram == other.gram
+        return isinstance(other, GramForm) and self.m == other.m
 
     def __hash__(self):
-        return hash(self.gram)
+        return hash(self.m)
 
     def __repr__(self):
-        return f"GramForm({self.gram})"
+        return f"GramForm(m={self.m})"
 
 
-def _gso(g, n):
-    """Gram-Schmidt data (B_i = |b_i*|^2, mu) from a Gram matrix alone."""
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    # inner[i][j] = <b_i, b_j*>
-    inner = [[Fraction(0)] * n for _ in range(n)]
+def _gram_schmidt(m):
+    """Integral Gram-Schmidt data (d, lam) of the integer Gram matrix m.
+
+    d[i] is the i-th leading principal minor, d[0] = 1, found by Bareiss
+    elimination, and lam[i][j] = d[j+1] * mu_ij for j < i, so both are
+    integers: |b_i*|^2 = d[i+1] / d[i].  Raises ValueError at the first
+    minor that is not positive.
+    """
+    n = len(m)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = Fraction(g[i][j])
-            for k in range(j):
-                s -= mu[j][k] * inner[i][k]
-            inner[i][j] = s
+            s = m[i][j]
+            for t in range(j):
+                s = (d[t + 1] * s - lam[i][t] * lam[j][t]) // d[t]
             if j < i:
-                mu[i][j] = s / b[j]
-        b[i] = inner[i][i]
-    return b, mu
+                lam[i][j] = s
+            elif s <= 0:
+                raise ValueError("form is not positive definite")
+            else:
+                d[i + 1] = s
+    return d, lam
+
+
+def _lll(m):
+    """Integral LLL with delta = 3/4 on the integer Gram matrix m.
+
+    Returns (u, d, lam): u unimodular, its rows the reduced basis, and the
+    integral Gram-Schmidt data of that basis, kept up to date through
+    every size reduction and swap (de Weger 1987; Cohen, Alg. 2.6.7).
+    Row k is size-reduced against k-1, ..., 0 before the Lovasz test, by
+    the nearest integer floor(mu + 1/2).  Every step is exact.
+    """
+    n = len(m)
+    d, lam = _gram_schmidt(m)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            if q:
+                u[k] = [a - q * b for a, b in zip(u[k], u[j])]
+                lam[k][j] -= q * d[j + 1]
+                for t in range(j):
+                    lam[k][t] -= q * lam[j][t]
+        lk = lam[k][k - 1]
+        # |b_k*|^2 >= (3/4 - mu^2) |b_{k-1}*|^2, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lk * lk:
+            k += 1
+            continue
+        u[k - 1], u[k] = u[k], u[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    return tuple(map(tuple, u)), d, lam
 
 
 def lll_reduce(form: GramForm) -> tuple[GramForm, tuple]:
@@ -152,40 +170,8 @@ def lll_reduce(form: GramForm) -> tuple[GramForm, tuple]:
     Returns (reduced_form, U) with U unimodular and U G U^T the reduced
     Gram, rows of U giving the reduced basis in the original coordinates.
     """
-    n = form.rank
-    g = [[Fraction(x) for x in row] for row in form.gram]
-    u = [list(row) for row in linalg.identity(n)]
-
-    def row_sub(k, j, q):
-        # b_k <- b_k - q b_j
-        for t in range(n):
-            g[k][t] -= q * g[j][t]
-        for t in range(n):
-            g[t][k] -= q * g[t][j]
-        for t in range(n):
-            u[k][t] -= q * u[j][t]
-
-    def swap(k):
-        g[k], g[k - 1] = g[k - 1], g[k]
-        for row in g:
-            row[k], row[k - 1] = row[k - 1], row[k]
-        u[k], u[k - 1] = u[k - 1], u[k]
-
-    bvals, mu = _gso(g, n)
-    k = 1
-    while k < n:
-        for j in range(k - 1, -1, -1):
-            q = (mu[k][j] + Fraction(1, 2)).__floor__()
-            if q:
-                row_sub(k, j, q)
-                bvals, mu = _gso(g, n)
-        if bvals[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bvals[k - 1]:
-            k += 1
-        else:
-            swap(k)
-            bvals, mu = _gso(g, n)
-            k = max(k - 1, 1)
-    return GramForm(g, check=False), tuple(tuple(row) for row in u)
+    u = _lll(form.m)[0]
+    return form.transform(u), u
 
 
 def reduce_binary(a: int, b: int, c: int) -> tuple[tuple[int, int, int], tuple]:
@@ -383,25 +369,6 @@ def _sample_rejection(a, b, c, p1, p2, d, rho, rng) -> tuple[int, int]:
     raise RuntimeError("ellipse sampler failed to accept; this should not happen")
 
 
-def sample_ellipsoid_dim2(form, rho: int, rng: random.Random) -> tuple[int, int]:
-    """Uniform sample from {x in Z^2 : f(x) <= rho}.
-
-    If rho < f(b2) for a reduced basis, the set is one-dimensional along
-    b1 and an integer multiple is sampled directly; otherwise the
-    rejection core samples it.
-    """
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    if rho == 0:
-        return (0, 0)
-    (a, b, c), u = reduce_binary(form.a, form.b, form.c)
-    if rho < c:
-        # all lattice points of value <= rho lie on the b1 line
-        kmax = math.isqrt(rho // a)
-        return _to_input((rng.randint(-kmax, kmax), 0), u)
-    return _to_input(_sample_rejection(a, b, c, 0, 0, 1, rho, rng), u)
-
-
 def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
     """Exact #{x in Z^2 : f(x + shift) <= rho}, by the row scan.
 
@@ -464,7 +431,7 @@ def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
         k -= hi - lo + 1
 
 
-def ellipsoid_sampler(form: GramForm, rho):
+def ellipsoid_sampler(form: GramForm, rho: int):
     """draw(rng, max_tries): uniform lattice points with 0 < f(x) <= rho.
 
     Rejection from the tight coordinate box of the LLL-reduced basis, so
@@ -474,11 +441,13 @@ def ellipsoid_sampler(form: GramForm, rho):
     """
     n = form.rank
     red, u = lll_reduce(form)
-    inv = linalg.inverse_fraction(red.gram)
-    rho = Fraction(rho)
-    bounds = [_frac_floor_sqrt(rho * inv[i][i]) for i in range(n)]
-    twog = tuple(tuple(int(2 * red.gram[i][j]) for j in range(n)) for i in range(n))
-    two_rho_num = 2 * rho.numerator
+    m = red.m
+    # |x_i| <= sqrt(rho (G^-1)_ii) = sqrt(2 rho C_ii / det m), C the cofactors of m
+    det = linalg.det_bareiss(m)
+    bounds = []
+    for i in range(n):
+        minor = tuple(row[:i] + row[i + 1:] for k, row in enumerate(m) if k != i)
+        bounds.append(math.isqrt(2 * rho * linalg.det_bareiss(minor) // det))
 
     def draw(rng: random.Random, max_tries: int) -> tuple:
         for _ in range(max_tries):
@@ -486,9 +455,9 @@ def ellipsoid_sampler(form: GramForm, rho):
             if not any(x):
                 continue
             val2 = sum(
-                twog[i][j] * x[i] * x[j] for i in range(n) for j in range(n) if x[i] and x[j]
+                m[i][j] * x[i] * x[j] for i in range(n) for j in range(n) if x[i] and x[j]
             )
-            if val2 * rho.denominator <= two_rho_num:
+            if val2 <= 2 * rho:
                 return tuple(sum(x[i] * u[i][j] for i in range(n)) for j in range(n))
         raise BudgetError("ellipsoid sampling budget exhausted")
 
@@ -496,57 +465,31 @@ def ellipsoid_sampler(form: GramForm, rho):
 
 
 def sample_ellipsoid(
-    form: GramForm, rho, rng: random.Random, max_tries: int = 1 << 20
+    form: GramForm, rho: int, rng: random.Random, max_tries: int = 1 << 20
 ) -> tuple:
     """One draw of ellipsoid_sampler(form, rho): uniform 0 < f(x) <= rho."""
     return ellipsoid_sampler(form, rho)(rng, max_tries)
 
 
-def _cholesky(form: GramForm):
-    """q[i][j] for f(x) = sum_i q_ii (x_i + sum_{j>i} q_ij x_j)^2."""
-    n = form.rank
-    q = [[Fraction(form.gram[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
-
-
-def _frac_floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational."""
-    if x < 0:
-        raise ValueError("negative")
-    n, d = x.numerator, x.denominator
-    r = math.isqrt(n * d) // d
-    while (r + 1) * (r + 1) <= x:
-        r += 1
-    while r * r > x:
-        r -= 1
-    return r
-
-
-def enumerate_by_value(form: GramForm, bound, lower=1):
+def enumerate_by_value(form: GramForm, bound: int, lower: int = 1):
     """All x in Z^r with lower <= f(x) <= bound, one per antipodal pair.
 
-    Fincke-Pohst over the exact Cholesky decomposition of the
-    LLL-reduced Gram (skewed input bases would blow the search tree up),
-    mapped back afterwards.  Yields (x, f(x)) with the first nonzero
+    Fincke-Pohst on the integral Gram-Schmidt data (d, lam) that the LLL
+    reduction ends with (skewed input bases would blow the search tree
+    up), mapped back afterwards.  Yields (x, f(x)) with the first nonzero
     coordinate of x positive.
     """
     n = form.rank
-    red, u_rows = lll_reduce(form)
-    q = _cholesky(red)
-    bound = Fraction(bound)
-    lower = Fraction(lower)
+    u_rows, d, lam = _lll(form.m)
+    top = 2 * bound  # the bound in the scale of m
     x = [0] * n
 
-    def rec(i: int, remaining: Fraction):
+    def rec(i: int, part: int):
+        # part = d[i+1] * |pi_{i+1}(v)|^2 in the scale of m, where v is the
+        # vector of the coordinates fixed so far and pi_{i+1} projects away
+        # from b_0, ..., b_i; it is an integer, a Gram determinant
         if i < 0:
-            val = bound - remaining
+            val = part // 2
             if val >= lower:
                 # one representative per antipodal pair, picked in the
                 # reduced coordinates
@@ -563,36 +506,26 @@ def enumerate_by_value(form: GramForm, bound, lower=1):
                         break
                     if coord > 0:
                         break
-                if val.denominator == 1:
-                    yield vec, val.numerator
-                else:
-                    yield vec, val
+                yield vec, val
             return
-        s = Fraction(0)
-        for j in range(i + 1, n):
-            if x[j]:
-                s += q[i][j] * x[j]
-        # bound the integer y = x*Q + P (s = P/Q) so boundary points where
-        # the square root is irrational but y hits it exactly are kept
-        pnum, qden = s.numerator, s.denominator
-        t2 = remaining * qden * qden / q[i][i]
-        ymax = _frac_floor_sqrt(t2)
-        lo = -((ymax + pnum) // qden)  # ceil((-ymax - P) / Q)
-        hi = (ymax - pnum) // qden
-        for xi in range(lo, hi + 1):
+        di, dj = d[i], d[i + 1]
+        s = sum(lam[j][i] * x[j] for j in range(i + 1, n) if x[j])
+        # the integer y = dj * x_i + s adds y^2 / (di * dj) to |pi_i(v)|^2,
+        # which stays within top exactly when y^2 <= di * (top * dj - part)
+        ymax = math.isqrt(di * (top * dj - part))
+        for xi in range(-((ymax + s) // dj), (ymax - s) // dj + 1):
             x[i] = xi
-            used = q[i][i] * (xi + s) ** 2
-            if used <= remaining:
-                yield from rec(i - 1, remaining - used)
+            y = dj * xi + s
+            yield from rec(i - 1, (di * part + y * y) // dj)
         x[i] = 0
 
-    yield from rec(n - 1, bound)
+    yield from rec(n - 1, 0)
 
 
-def shortest_nonzero(form: GramForm) -> tuple[tuple, Fraction]:
+def shortest_nonzero(form: GramForm) -> tuple[tuple, int]:
     """A shortest nonzero vector and its value (exact)."""
     red, u = lll_reduce(form)
-    start = min(red.gram[i][i] for i in range(form.rank))
+    start = min(red.m[i][i] for i in range(form.rank)) // 2
     best_vec, best_val = None, None
     for vec, val in enumerate_by_value(red, start, lower=1):
         if best_val is None or val < best_val:

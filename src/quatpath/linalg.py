@@ -1,9 +1,10 @@
-"""Small exact linear algebra over Z and Q.
+"""Small exact linear algebra over Z.
 
-Matrices are tuples of tuples (rows), entries int or Fraction.  All sizes
-here are tiny (rank <= 8), so clarity wins over asymptotics: HNF by
-gcd elimination, determinants by fraction-free Bareiss, inverses by
-Gaussian elimination over Fraction.
+Matrices are tuples of tuples (rows) of ints.  All sizes here are tiny
+(rank <= 8), so clarity wins over asymptotics: HNF by gcd elimination,
+determinants by fraction-free Bareiss.  inverse_fraction, Gaussian
+elimination over Q, has no caller in the package; tests use it as an
+oracle and the benchmark traces it.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def mat_neg(a: Mat) -> Mat:
 def det_bareiss(m: Mat) -> int:
     """Determinant of an integer matrix, fraction-free."""
     n = len(m)
+    if n == 0:
+        return 1
     a = [list(row) for row in m]
     sign = 1
     prev = 1
@@ -58,31 +61,6 @@ def det_bareiss(m: Mat) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def det_fraction(m: Mat) -> Fraction:
-    """Determinant over Q by elimination."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            factor = a[i][k] * inv
-            if factor:
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return det
 
 
 def inverse_fraction(m: Mat) -> Mat:
@@ -190,22 +168,6 @@ def solve_left_int(m: Mat, b) -> tuple | None:
         if c:
             x = [xi + c * ui for xi, ui in zip(x, u[idx])]
     return tuple(x)
-
-
-def solve_left_mod(a: Mat, b, modulus: int) -> tuple | None:
-    """One solution x of x * A = b (mod modulus), or None.
-
-    Reduces to an integer solve by adjoining modulus * I rows.
-    """
-    rows = len(a)
-    cols = len(a[0])
-    stacked = tuple(a) + tuple(
-        tuple(modulus if i == j else 0 for j in range(cols)) for i in range(cols)
-    )
-    sol = solve_left_int(stacked, tuple(x % modulus for x in b))
-    if sol is None:
-        return None
-    return tuple(x % modulus for x in sol[:rows])
 
 
 def lattice_intersection(b1: Mat, b2: Mat) -> Mat:

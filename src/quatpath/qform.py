@@ -2,9 +2,8 @@
 
 Reduction with explicit SL2(Z) transforms, Gauss composition carrying
 representations, Cornacchia-style representation solving, class-group
-enumeration with genus data, and samplers that hunt for prime values of
-positive definite forms (binary directly, higher rank through a
-two-dimensional sublattice with coprime corner values).
+enumeration with genus data, and a sampler that hunts for prime values
+in a window [rho, rho^2] of a positive definite form of any rank.
 """
 
 from __future__ import annotations
@@ -409,146 +408,10 @@ def genus_representation_count(D: int, N: int) -> int:
 
 
 def _form_content(form: lattice.GramForm) -> int:
-    g = form.gram
-    n = form.rank
-    c = 0
-    for i in range(n):
-        c = math.gcd(c, int(g[i][i]))
-        for j in range(i + 1, n):
-            c = math.gcd(c, int(2 * g[i][j]))
-    return c
-
-
-# Radius doublings of a prime-value hunt before it gives up.
-_MAX_DOUBLINGS = 48
-
-
-def sample_prime_binary(f: BinaryQF, rng: random.Random) -> tuple[int, int, int]:
-    """Random (s, t) with f(s, t) prime.
-
-    Samples uniformly from growing ellipses, starting at radius |D| and
-    doubling after a batch of failures, so accepted primes stay within a
-    small power of |D|.
-    """
-    if not f.is_primitive:
-        raise ValidationError("a primitive form is required")
-    d = abs(f.disc)
-    rho = d
-    tries = 64 * max(1, d.bit_length())
-    for _ in range(_MAX_DOUBLINGS):
-        for _ in range(tries):
-            s, t = lattice.sample_ellipsoid_dim2(f, rho, rng)
-            val = f.value(s, t)
-            if val >= 2 and arith.is_prime(val, rng):
-                return s, t, val
-        rho *= 2
-    raise BudgetError("prime search exhausted its retry budget")
-
-
-def _coprime_support(values) -> list[int]:
-    """Pairwise-coprime integers > 1 covering the primes of every input."""
-    base: list[int] = []
-    queue = [v for v in values if v > 1]
-    while queue:
-        v = queue.pop()
-        if v <= 1:
-            continue
-        clashed = False
-        for i, w in enumerate(base):
-            g = math.gcd(v, w)
-            if g > 1:
-                del base[i]
-                queue.extend((g, w // g, v // g))
-                clashed = True
-                break
-        if not clashed:
-            base.append(v)
-    return sorted(base)
-
-
-def _coprime_value_vector(red: lattice.GramForm) -> tuple:
-    """Coordinates (in the reduced basis) of v with gcd(f(v), f(b1)) = 1.
-
-    Works from a pairwise-coprime factor list of f(b1), refined whenever
-    a gcd exposes a proper divisor, so no factorization is needed.
-    """
-    g = red.gram
-    r = red.rank
-    fu = int(g[0][0])
-    if fu == 1:
-        return tuple(1 if i == 1 else 0 for i in range(r))
-    part = arith.factor_bounded(fu, bound=10**4)
-    base = _coprime_support([p for p, _ in part.factors] + [part.cofactor])
-    while True:
-        refined = None
-        picks = []
-        for a in base:
-            pick = None
-            for j in range(1, r):
-                d = math.gcd(int(g[j][j]), a)
-                if d == 1:
-                    pick = tuple(1 if i == j else 0 for i in range(r))
-                    break
-                if d < a:
-                    refined = (a, d)
-                    break
-            if refined:
-                break
-            if pick is None:
-                # every diagonal is 0 mod a; a unit off-diagonal entry
-                # makes f(e_j + e_k) = 2 g_jk a unit mod a
-                for j in range(r):
-                    for k in range(j + 1, r):
-                        d = math.gcd(int(2 * g[j][k]), a)
-                        if d == 1:
-                            pick = tuple(1 if i in (j, k) else 0 for i in range(r))
-                            break
-                        if 1 < d < a:
-                            refined = (a, d)
-                            break
-                    if pick or refined:
-                        break
-            if refined:
-                break
-            if pick is None:
-                # a would divide every Gram entry, contradicting content 1
-                raise BudgetError("no unit combination found; form not primitive?")
-            picks.append(pick)
-        if refined is None:
-            break
-        a, d = refined
-        base.remove(a)
-        base = _coprime_support(base + [d, a // d])
-    v = [0] * r
-    for idx, a in enumerate(base):
-        mult = 1
-        for j, other in enumerate(base):
-            if j != idx:
-                mult *= other
-        for i in range(r):
-            v[i] += picks[idx][i] * mult
-    return tuple(v)
-
-
-def sample_prime_general(f: lattice.GramForm, rng: random.Random) -> tuple[tuple, int]:
-    """Random x with f(x) prime, for a primitive integral form of rank >= 2.
-
-    Hunts on the plane Z u + Z v, u the first LLL-reduced basis vector and
-    v one with f(v) coprime to f(u), through the binary form f restricts to.
-    """
-    if _form_content(f) != 1:
-        raise ValidationError("a primitive form is required")
-    red, u_mat = lattice.lll_reduce(f)
-    v = _coprime_value_vector(red)
-    fu = int(red.gram[0][0])
-    fv = red.value_int(v)
-    cross = red.inner(tuple(1 if i == 0 else 0 for i in range(f.rank)), v)
-    assert math.gcd(fu, fv) == 1
-    s, t, val = sample_prime_binary(BinaryQF(fu, int(2 * cross), fv), rng)
-    v_coords = (sum(v[i] * u_mat[i][j] for i in range(f.rank)) for j in range(f.rank))
-    x = tuple(s * a + t * b for a, b in zip(u_mat[0], v_coords))
-    assert f.value_int(x) == val
-    return x, val
+    """The content of f: the gcd of the diagonal of G and of 2G off it."""
+    m = form.m
+    return math.gcd(*(m[i][j] if i != j else m[i][i] // 2
+                      for i in range(form.rank) for j in range(form.rank)))
 
 
 def sample_prime_large(

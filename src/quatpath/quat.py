@@ -230,10 +230,13 @@ class QuatLattice:
         return QuatElement(self.alg, num, self.den)
 
     def q_gram(self) -> lattice.GramForm:
-        """Gram of the normalised form nrd/nrd(lattice) over the basis."""
-        g0 = self.nrd * self.den * self.den
-        return lattice.GramForm(
-            tuple(tuple(Fraction(x, 1) / g0 for x in row) for row in self.gram_scaled)
+        """The normalised form nrd/nrd(lattice) over the basis.
+
+        Its matrix 2G is the trace pairing trd(a conj(b)) over N(I).
+        """
+        g0 = int(self.nrd * self.den * self.den)
+        return lattice.GramForm._of(
+            tuple(tuple(2 * x // g0 for x in row) for row in self.gram_scaled)
         )
 
     def norm(self) -> int:
@@ -468,6 +471,12 @@ def special_order(alg: QuatAlgebra) -> SpecialOrder:
     return SpecialOrder(alg, order, sub, omega, f)
 
 
+def _ensure(ok: bool, what: str) -> None:
+    """Check a postcondition on a returned value; unlike assert, also under -O."""
+    if not ok:
+        raise AssertionError(f"postcondition failed: {what}")
+
+
 def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:
     """The equivalent ideal ideal * conj(el) / nrd(ideal)."""
     if el.is_zero():
@@ -475,17 +484,8 @@ def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:
     if not ideal.contains(el):
         raise ValidationError("element must lie in the ideal")
     out = ideal.mul_right(el.conj()).scale(1 / ideal.nrd)
-    assert out.nrd == el.nrd() / ideal.nrd
+    _ensure(out.nrd == el.nrd() / ideal.nrd, "nrd of the equivalent ideal")
     return out
-
-
-def equiv_prime_ideal(ideal: QuatLattice, rng: random.Random):
-    """An equivalent ideal of prime reduced norm, with its witness element."""
-    coords, ell = qform.sample_prime_general(ideal.q_gram(), rng)
-    el = ideal.element_from(coords)
-    out = equiv_from_element(ideal, el)
-    assert out.norm() == ell
-    return out, el
 
 
 def equiv_prime_large_nonresidue(
@@ -527,9 +527,9 @@ def equiv_prime_large_nonresidue(
     y, n = qform.sample_prime_large(sub, rho, rng, max_tries)
     coords = linalg.vec_mat(y, c)
     el = ideal.element_from(coords)
-    assert arith.kronecker(ell, n) == -1
+    _ensure(arith.kronecker(ell, n) == -1, "(ell / N) = -1")
     out = equiv_from_element(ideal, el)
-    assert out.norm() == n
+    _ensure(out.norm() == n, "norm of the prime-norm ideal")
     return out, el
 
 
@@ -547,5 +547,5 @@ def ideal_equivalence_test(i1: QuatLattice, i2: QuatLattice):
         return None
     gamma = k.element_from(hits[0][0])
     alpha = gamma.conj()
-    assert i1.mul_right(gamma).scale(1 / i1.nrd) == i2
+    _ensure(i1.mul_right(gamma).scale(1 / i1.nrd) == i2, "i1 * gamma / N(i1) = i2")
     return alpha

@@ -6,10 +6,6 @@ reduction, the rank-2 lattice layer, the norm-equation stack, the
 quaternion layer or the rank-4 LLL and Fincke-Pohst core has to reproduce
 every one of them.  Long outputs are pinned by a digest of their
 repr, short ones literally.
-
-sample_ellipsoid_dim2 is left out on purpose: its draws depend on which of
-the two transforms (U or -U) the reduction returns at the boundary of the
-fundamental domain, and only the canonical reduction is pinned here.
 """
 
 import hashlib

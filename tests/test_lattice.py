@@ -4,13 +4,15 @@ Brute-force box enumerations serve as the oracle for every geometric
 claim; samplers are additionally checked for support and rough balance.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from quatpath import linalg, qform
+from quatpath import klpt, linalg, qform, quat
+from quatpath.arith import Factorization
 from quatpath.errors import BudgetError
 from quatpath.lattice import (
     GramForm,
@@ -22,25 +24,44 @@ from quatpath.lattice import (
     reduce_binary,
     sample_ellipsoid,
     sample_ellipsoid_coset_dim2,
-    sample_ellipsoid_dim2,
     shortest_nonzero,
 )
 from quatpath.qform import BinaryQF
 
 
-def rand_posdef(rng, n, spread=6):
-    """Random integral Gram matrix B^T B (+ tweaks), guaranteed pos def."""
+def rand_posdef(rng, n, spread=6, odd=False):
+    """Random positive definite form with Gram B^T B, B random and nonsingular.
+
+    With odd=True the Gram is B^T A B / 2 instead, A the Gram of the root
+    lattice A_n (2 on the diagonal, -1 beside it).  Then 2G has odd entries
+    off the diagonal, as every quaternion form q_gram has.
+    """
+    if odd:
+        a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    else:
+        a = [[int(i == j) for j in range(n)] for i in range(n)]
     while True:
         b = [[rng.randrange(-spread, spread + 1) for _ in range(n)] for _ in range(n)]
-        g = [[sum(b[k][i] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        g = [[sum(b[k][i] * a[k][t] * b[t][j] for k in range(n) for t in range(n))
+              for j in range(n)] for i in range(n)]
         if linalg.det_bareiss(tuple(map(tuple, g))) != 0:
-            return GramForm(g)
+            return GramForm([[Fraction(x, 1 + odd) for x in row] for row in g])
+
+
+def quat_forms():
+    """q_gram of O0 and of a seeded 3-walk from it at p = 103, 101, 97."""
+    spec = klpt.WalkSpec.from_norm(Factorization(((3, 1),), 1))
+    out = []
+    for p in (103, 101, 97):
+        o0 = quat.special_order(quat.construct_algebra(p)).order
+        out += [o0.q_gram(), klpt.random_walk(o0, spec, random.Random(f"forms/{p}")).q_gram()]
+    return out
 
 
 def rand_binary(rng, spread=6):
     """The binary form of a random rank-2 rand_posdef Gram."""
-    g = rand_posdef(rng, 2, spread).gram
-    return BinaryQF(int(g[0][0]), int(2 * g[0][1]), int(g[1][1]))
+    m = rand_posdef(rng, 2, spread).m
+    return BinaryQF(m[0][0] // 2, m[0][1], m[1][1] // 2)
 
 
 def as_gram(f):
@@ -49,16 +70,23 @@ def as_gram(f):
     return GramForm(((f.a, h), (h, f.c)))
 
 
+def twice_value(form, v):
+    """2 f(v) = v^T (2G) v for a rational vector v, for the oracles."""
+    m = form.m
+    return sum(m[i][j] * a * b for i, a in enumerate(v) if a for j, b in enumerate(v) if b)
+
+
 def brute_box(form, shift, rho):
     """Per-coordinate range certain to contain {x : f(x + shift) <= rho}.
 
     Coordinate i of any point in the ellipsoid is bounded by
-    sqrt(rho * (G^-1)_ii), independent of basis skew.
+    sqrt(rho * (G^-1)_ii) = sqrt(2 rho ((2G)^-1)_ii), independent of
+    basis skew.
     """
-    inv = linalg.inverse_fraction(form.gram)
+    inv = linalg.inverse_fraction(form.m)
     out = []
     for i in range(form.rank):
-        r2 = Fraction(rho) * inv[i][i]
+        r2 = 2 * Fraction(rho) * inv[i][i]
         b = math.isqrt(r2.numerator // r2.denominator) + 2
         s = Fraction(shift[i])
         out.append(b + abs(s.numerator) // s.denominator + 1)
@@ -67,21 +95,11 @@ def brute_box(form, shift, rho):
 
 def brute_points(form, shift, rho):
     """All x with f(x + shift) <= rho, by exhaustive box scan."""
-    n = form.rank
     box = brute_box(form, shift, rho)
-    out = []
-
-    def rec(i, prefix):
-        if i == n:
-            v = tuple(Fraction(a) + Fraction(s) for a, s in zip(prefix, shift))
-            if form.value(v) <= rho:
-                out.append(tuple(prefix))
-            return
-        for x in range(-box[i], box[i] + 1):
-            rec(i + 1, prefix + [x])
-
-    rec(0, [])
-    return out
+    return [
+        x for x in itertools.product(*(range(-b, b + 1) for b in box))
+        if twice_value(form, tuple(a + s for a, s in zip(x, shift))) <= 2 * rho
+    ]
 
 
 def test_gramform_validation():
@@ -98,11 +116,12 @@ def test_gramform_validation():
 
 def test_value_and_inner():
     f = GramForm(((2, Fraction(3, 2)), (Fraction(3, 2), 5)))
-    assert f.value((1, 0)) == 2
-    assert f.value((0, 1)) == 5
-    assert f.value((1, 1)) == 10
+    assert f.value_int((1, 0)) == 2
+    assert f.value_int((0, 1)) == 5
+    assert f.value_int((1, 1)) == 10
     assert f.value_int((2, -1)) == 2 * 4 - 3 * 2 + 5
-    assert 2 * f.inner((1, 0), (0, 1)) == 3
+    # the stored matrix is 2G, the Gram of the bilinear form of f
+    assert f.m == ((4, 3), (3, 10))
 
 
 def test_transform_identity():
@@ -116,21 +135,30 @@ def test_transform_identity():
         for _ in range(10):
             x = tuple(rng.randrange(-4, 5) for _ in range(3))
             xu = tuple(sum(x[i] * u[i][j] for i in range(3)) for j in range(3))
-            assert g.value(x) == f.value(xu)
+            assert g.value_int(x) == f.value_int(xu)
+
+
+def check_lll(f):
+    n = f.rank
+    red, u = lll_reduce(f)
+    assert abs(linalg.det_bareiss(u)) == 1
+    assert f.transform(u).m == red.m
+    assert linalg.det_bareiss(red.m) == linalg.det_bareiss(f.m)
+    # LLL guarantee: first vector within 2^(n-1) of the minimum
+    lam = shortest_nonzero(f)[1]
+    assert red.m[0][0] <= 2 ** n * lam
 
 
 def test_lll_reduce():
     rng = random.Random(21)
     for _ in range(60):
-        n = rng.randrange(2, 5)
-        f = rand_posdef(rng, n)
-        red, u = lll_reduce(f)
-        assert abs(linalg.det_bareiss(u)) == 1
-        assert f.transform(u).gram == red.gram
-        assert red.det() == f.det()
-        # LLL guarantee: first vector within 2^(n-1) of the minimum
-        lam = shortest_nonzero(f)[1]
-        assert red.gram[0][0] <= 2 ** (n - 1) * lam
+        check_lll(rand_posdef(rng, rng.randrange(2, 5)))
+    # half-integer forms: odd entries off the diagonal of 2G
+    rng = random.Random(32)
+    for _ in range(40):
+        check_lll(rand_posdef(rng, rng.randrange(2, 6), odd=True))
+    for f in quat_forms():
+        check_lll(f)
 
 
 def test_gauss_reduce_binary():
@@ -160,12 +188,12 @@ def test_cvp_dim2_exact():
         g = as_gram(f)
         t = (Fraction(rng.randrange(-40, 41), 8), Fraction(rng.randrange(-40, 41), 8))
         got = cvp_dim2(f, t)
-        best = g.value((got[0] - t[0], got[1] - t[1]))
+        best = twice_value(g, (got[0] - t[0], got[1] - t[1]))
         # any strictly closer point would sit inside the dual-bounded box
         box = brute_box(g, (-t[0], -t[1]), best)
         for x in range(-box[0], box[0] + 1):
             for y in range(-box[1], box[1] + 1):
-                assert g.value((x - t[0], y - t[1])) >= best
+                assert twice_value(g, (x - t[0], y - t[1])) >= best
 
 
 def test_count_and_enumerate_ellipsoid_dim2():
@@ -183,34 +211,6 @@ def test_count_and_enumerate_ellipsoid_dim2():
 def test_count_ellipsoid_budget():
     with pytest.raises(BudgetError):
         count_ellipsoid_dim2(BinaryQF(1, 0, 1), (0, 0), 10**9, budget=100)
-
-
-def test_sample_ellipsoid_dim2_support_and_balance():
-    # uniform over every lattice point of the disk, zero included
-    f = BinaryQF(1, 0, 1)
-    rho = 4
-    pts = brute_points(as_gram(f), (0, 0), rho)
-    rng = random.Random(25)
-    counts = {p: 0 for p in pts}
-    n = 4000
-    for _ in range(n):
-        x = sample_ellipsoid_dim2(f, rho, rng)
-        assert f.value(*x) <= rho
-        counts[x] += 1
-    assert all(c > 0 for c in counts.values())
-    mean = n / len(pts)
-    for c in counts.values():
-        assert 0.5 * mean < c < 1.7 * mean
-
-
-def test_sample_ellipsoid_dim2_degenerate_radius():
-    # disk smaller than the second minimum: only multiples of the
-    # shortest vector survive, sampler must still work
-    f = BinaryQF(1, 0, 100)
-    rng = random.Random(26)
-    for _ in range(100):
-        x = sample_ellipsoid_dim2(f, 9, rng)
-        assert f.value(*x) <= 9 and x[1] == 0
 
 
 def test_sample_ellipsoid_coset_dim2():
@@ -233,14 +233,18 @@ def test_sample_ellipsoid_general_rank():
     rng = random.Random(28)
     for n in (3, 4):
         f = rand_posdef(rng, n, spread=2)
-        rho = int(f.gram[0][0] + f.gram[1][1]) + 8
+        rho = (f.m[0][0] + f.m[1][1]) // 2 + 8
         seen = set()
         for _ in range(400):
             x = sample_ellipsoid(f, rho, rng)
-            v = f.value(x)
+            v = f.value_int(x)
             assert 0 < v <= rho
             seen.add(x)
         assert len(seen) > 1
+    # the boundary f(x) = rho is inside: at rho = 1 only unit vectors qualify
+    unit = GramForm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for _ in range(50):
+        assert unit.value_int(sample_ellipsoid(unit, 1, rng, max_tries=1000)) == 1
 
 
 def test_sample_ellipsoid_budget():
@@ -250,35 +254,43 @@ def test_sample_ellipsoid_budget():
         sample_ellipsoid(f, 3, random.Random(29), max_tries=500)
 
 
+def check_enumeration(f, bound, lower):
+    n = f.rank
+    got = list(enumerate_by_value(f, bound, lower=lower))
+    for x, v in got:
+        assert f.value_int(x) == v and lower <= v <= bound
+        # canonical antipodal representative
+        nz = next(c for c in x if c)
+        assert nz > 0
+    want = {
+        tuple(p)
+        for p in brute_points(f, (0,) * n, bound)
+        if any(p) and f.value_int(p) >= lower
+    }
+    # fold antipodes
+    folded = set()
+    for p in want:
+        nz = next(c for c in p if c)
+        folded.add(p if nz > 0 else tuple(-c for c in p))
+    assert {x for x, _ in got} == folded
+
+
 def test_enumerate_by_value_matches_brute():
-    rng = random.Random(30)
-    done = 0
-    while done < 60:
-        n = rng.randrange(2, 4)
-        f = rand_posdef(rng, n, spread=3)
-        bound = rng.randrange(1, 40)
-        box = brute_box(f, (0,) * n, bound)
-        if math.prod(2 * b + 1 for b in box) > 3 * 10**5:
-            continue  # oracle too slow for this eccentricity, draw again
-        done += 1
-        lower = rng.randrange(1, bound + 1)
-        got = list(enumerate_by_value(f, bound, lower=lower))
-        for x, v in got:
-            assert f.value_int(x) == v and lower <= v <= bound
-            # canonical antipodal representative
-            nz = next(c for c in x if c)
-            assert nz > 0
-        want = {
-            tuple(p)
-            for p in brute_points(f, (0,) * n, bound)
-            if any(p) and f.value(p) >= lower
-        }
-        # fold antipodes
-        folded = set()
-        for p in want:
-            nz = next(c for c in p if c)
-            folded.add(p if nz > 0 else tuple(-c for c in p))
-        assert {x for x, _ in got} == folded
+    # the second pass draws half-integer forms: odd entries off the diagonal of 2G
+    for seed, odd, cases in ((30, False, 60), (33, True, 30)):
+        rng = random.Random(seed)
+        done = 0
+        while done < cases:
+            n = rng.randrange(2, 4)
+            f = rand_posdef(rng, n, spread=3, odd=odd)
+            bound = rng.randrange(1, 40)
+            box = brute_box(f, (0,) * n, bound)
+            if math.prod(2 * b + 1 for b in box) > 3 * 10**5:
+                continue  # oracle too slow for this eccentricity, draw again
+            done += 1
+            check_enumeration(f, bound, rng.randrange(1, bound + 1))
+    for f, lower in zip(quat_forms(), (1, 2, 1, 3, 2, 1)):
+        check_enumeration(f, 4, lower)
 
 
 def test_enumerate_by_value_exact_boundary():
@@ -293,10 +305,10 @@ def test_shortest_nonzero():
     while done < 60:
         f = rand_posdef(rng, rng.randrange(2, 5), spread=4)
         x, v = shortest_nonzero(f)
-        assert f.value(x) == v
+        assert f.value_int(x) == v
         box = brute_box(f, (0,) * f.rank, v)
         if math.prod(2 * b + 1 for b in box) > 3 * 10**5:
             continue
         done += 1
-        vals = [f.value(p) for p in brute_points(f, (0,) * f.rank, v) if any(p)]
+        vals = [f.value_int(p) for p in brute_points(f, (0,) * f.rank, v) if any(p)]
         assert vals and min(vals) == v

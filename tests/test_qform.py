@@ -6,7 +6,6 @@ The oracle style throughout: recompute the claim by exhaustive search
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -26,8 +25,6 @@ from quatpath.qform import (
     principal_form,
     reduce_form,
     representation_count,
-    sample_prime_binary,
-    sample_prime_general,
     sample_prime_large,
 )
 
@@ -296,37 +293,6 @@ def test_divisor_sum_identity():
             total = sum(representation_count(f, n) for f in cg.forms)
             chi_sum = sum(arith.kronecker(d, v) for v in arith.factor_completely(n).divisors())
             assert total == w * chi_sum, (D, n)
-
-
-def test_sample_prime_binary():
-    rng = random.Random(45)
-    for f in [principal_form(-4), principal_form(-8), BinaryQF(2, 1, 3),
-              BinaryQF(3, 1, 4)]:
-        for _ in range(25):
-            x, y, val = sample_prime_binary(f, rng)
-            assert f.value(x, y) == val
-            assert arith.is_prime(val)
-    with pytest.raises(ValidationError):
-        sample_prime_binary(BinaryQF(2, 2, 2), rng)
-
-
-def test_sample_prime_general_rank4():
-    from quatpath.lattice import GramForm
-
-    rng = random.Random(46)
-    # a primitive rank-4 Gram with nontrivial off-diagonal structure
-    g = GramForm(
-        (
-            (2, Fraction(1, 2), 0, 0),
-            (Fraction(1, 2), 3, Fraction(1, 2), 0),
-            (0, Fraction(1, 2), 5, Fraction(1, 2)),
-            (0, 0, Fraction(1, 2), 7),
-        )
-    )
-    for _ in range(25):
-        x, val = sample_prime_general(g, rng)
-        assert g.value_int(x) == val
-        assert arith.is_prime(val)
 
 
 def test_sample_prime_large_window():

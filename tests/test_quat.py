@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import quatpath
 from quatpath import arith, linalg, quat
 from quatpath.errors import ValidationError
 from quatpath.quat import (
@@ -15,7 +20,6 @@ from quatpath.quat import (
     connecting_ideal,
     construct_algebra,
     equiv_from_element,
-    equiv_prime_ideal,
     equiv_prime_large_nonresidue,
     ideal_equivalence_test,
     left_order,
@@ -328,8 +332,8 @@ def test_ideal_invariants():
             # normalized Gram is integral, primitive, with discriminant p^2
             g = ideal.q_gram()
             assert g.disc() == p * p
-            vals = [int(g.gram[k][k]) for k in range(4)] + [
-                int(2 * g.gram[a][b]) for a in range(4) for b in range(a + 1, 4)
+            vals = [g.m[k][k] // 2 for k in range(4)] + [
+                g.m[a][b] for a in range(4) for b in range(a + 1, 4)
             ]
             assert math.gcd(*vals) == 1
 
@@ -410,22 +414,6 @@ def test_equiv_from_element():
         equiv_from_element(ideal, alg.element(Fraction(1, 7), 0, 0, 0))
 
 
-def test_equiv_prime_ideal():
-    rng = random.Random(71)
-    for p in (103, 1019):
-        alg = construct_algebra(p)
-        so = special_order(alg)
-        for _ in range(15):
-            ideal = random_left_ideal(so, split_prime(alg, p, rng), rng)
-            out, el = equiv_prime_ideal(ideal, rng)
-            n = out.norm()
-            assert arith.is_prime(n)
-            assert n < p**3
-            assert ideal.contains(el)
-            assert el.nrd() == ideal.nrd * n
-            assert ideal_equivalence_test(ideal, out) is not None
-
-
 def test_equiv_prime_large_nonresidue():
     rng = random.Random(72)
     alg = construct_algebra(103)
@@ -483,3 +471,28 @@ def test_ideal_equivalence_witness_transforms_correctly():
         [(b * w.conj()) * (Fraction(1) / ideal.nrd) for b in ideal.basis_elements()],
     )
     assert moved == other
+
+
+def test_equivalence_postcondition_raises_under_optimize():
+    # python -O strips assert statements; a wrong witness must still raise.
+    # The patched enumeration hands back the first basis vector of O0, whose
+    # reduced norm is not one, as if it were a norm-one vector.
+    o0 = special_order(construct_algebra(103)).order
+    assert o0.q_gram().value_int((1, 0, 0, 0)) != 1
+    src = str(Path(quatpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = """
+from quatpath import lattice, quat
+o0 = quat.special_order(quat.construct_algebra(103)).order
+lattice.enumerate_by_value = lambda form, bound, lower=1: iter([((1, 0, 0, 0), 1)])
+try:
+    print("returned", quat.ideal_equivalence_test(o0, o0))
+except AssertionError as e:
+    print("AssertionError:", e)
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "AssertionError: postcondition failed: i1 * gamma / N(i1) = i2")
