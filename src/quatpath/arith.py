@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "is_prime",
@@ -24,8 +24,6 @@ __all__ = [
     "factor_bounded",
     "factor_completely",
     "primes_up_to",
-    "is_square",
-    "multiplicative_order",
 ]
 
 # Deterministic Miller-Rabin witness set.  Sufficient for all n < 3.3 * 10^24
@@ -400,26 +398,3 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)^*; brute-force loop, fine for desk-scale m."""
-    if math.gcd(a, m) != 1:
-        raise ValueError("a must be a unit mod m")
-    if m == 1:
-        return 1
-    x = a % m
-    k = 1
-    while x != 1:
-        x = x * a % m
-        k += 1
-        if k > m:
-            raise RuntimeError("order computation overran the group size")
-    return k

@@ -9,8 +9,14 @@ pulled back to the target form f by Gauss composition: a right-hand layer
 that moves g around its genus (trading a divisor d of the helper bound B
 for a d^2 scaling), and a left-hand layer that replaces f(s,t) by
 det(rho)^2 * z for a crafted transform rho whose determinant every class
-of disc(f) can reach.  represent_in_O0 feeds the special order's norm form
-through the same pipeline.
+of disc(f) can reach.  Both layers draw from exact per-class divisor
+tables; past GENUS_ENUM_DISC_BOUND no table is built for disc(g), and the
+right-hand layer stays at the principal class.  represent_in_O0 feeds the
+special order's norm form through the same pipeline.
+
+Local solvability at each prime r of det(gamma) is one Legendre symbol on
+the value of f at the image line of gamma mod r; mod |disc f| it is read
+off one scan of f's values.
 
 Everything here is exact integer arithmetic; every returned tuple is
 checked against its defining equation before it escapes.
@@ -22,7 +28,6 @@ import functools
 import itertools
 import logging
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,17 +49,16 @@ __all__ = [
 
 LOG = logging.getLogger(__name__)
 
-# Discriminants up to this size use exact class group enumeration for the
-# genus randomizer; larger ones fall back to random walks.
+# The genus randomizer draws classes from a per-class divisor table, built
+# by enumerating the class group; past this |disc| no table is built.
 GENUS_ENUM_DISC_BOUND = 200_000
 
 # Retry budget for the master solver's sample-test-lift loop.
 MASTER_MAX_ATTEMPTS = 4000
 MASTER_STUCK_ATTEMPTS = 200
 
-# Caps for the deterministic searches inside instance construction.
+# Cap for the prime scan that fills a class divisor table.
 _TABLE_PRIME_CAP = 1_000_000
-_LOCAL_SCAN_CAP = 4_000_000
 
 _ID2 = ((1, 0), (0, 1))
 
@@ -195,19 +199,21 @@ def _class_divisor_table(D, m):
 def genus_randomizer_B(D, m, rng):
     """Uniform class of discriminant D plus a represented divisor.
 
-    Returns (cls, d, wit) with cls reduced, cls(wit) = d, and d a product
-    of small primes coprime to m and D.  Small discriminants use the
-    exact per-class table; large ones use a split-prime random walk whose
-    endpoint is uniform up to negligible mixing error.
+    Returns (cls, d, wit) with cls reduced, cls(wit) = d, and d = 1 or a
+    small prime coprime to m and D, read off the exact per-class table.
+    Raises BudgetError when |D| exceeds GENUS_ENUM_DISC_BOUND, past which
+    no table is built.
     """
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if abs(D) <= GENUS_ENUM_DISC_BOUND:
-        cg, entries = _class_divisor_table(D, m)
-        i = rng.randrange(cg.h)
-        d, wit = entries[i]
-        return cg.forms[i], d, wit
-    return qform.class_walk(D, m, rng)
+    if abs(D) > GENUS_ENUM_DISC_BOUND:
+        raise BudgetError(
+            f"|D| = {abs(D)} over the class table bound {GENUS_ENUM_DISC_BOUND}"
+        )
+    cg, entries = _class_divisor_table(D, m)
+    i = rng.randrange(cg.h)
+    d, wit = entries[i]
+    return cg.forms[i], d, wit
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +353,19 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     assert g.disc == a * f.disc
 
     chi_mod = abs(f.disc)
-    genus_res = cgf.genus_residues(cgf.index_of(f))
-    binv = arith.inv_mod(b, chi_mod)
-    # (n - u*a)/b must be a value of g mod |disc f|, and g's values there
-    # are exactly f's since gamma*rho is invertible mod disc f.  This test
-    # is exact: a residue outside the value set admits no integer solution
-    # at all, while the bare Kronecker != -1 test wrongly keeps
-    # character-zero classes the right-hand side can never reach.
-    fvals = {(f.a * x * x + f.b * x * y + f.c * y * y) % chi_mod
+    if chi_mod * chi_mod > 10**6:
+        raise BudgetError(f"residue scan {chi_mod}^2 exceeds budget {10**6}")
+    fvals = {f.value(x, y) % chi_mod
              for x in range(chi_mod) for y in range(chi_mod)}
-    admissible = []
-    for u in sorted(genus_res):
-        if ((n - u * a) * binv) % chi_mod in fvals:
-            admissible.append(u)
+    binv = arith.inv_mod(b, chi_mod)
+    # u runs over the unit values of f mod |disc f|: the residues of f's
+    # genus.  (n - u*a)/b must be a value of g there, and g's values are
+    # exactly f's since gamma*rho is invertible mod disc f.  This test is
+    # exact: a residue outside the value set admits no integer solution at
+    # all, while the bare Kronecker != -1 test wrongly keeps
+    # character-zero classes the right-hand side can never reach.
+    admissible = [u for u in sorted(fvals) if math.gcd(u, chi_mod) == 1
+                  and ((n - u * a) * binv) % chi_mod in fvals]
 
     return EquationInstance(
         f=f, gamma=gamma, det_fac=det_fac, b=b, n=n,
@@ -370,21 +376,31 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     )
 
 
+def _image_value(f, gamma, r):
+    """f(w) mod r for w a nonzero column of gamma mod r.
+
+    For gamma of content 1 and r | det(gamma), gamma mod r has rank one:
+    gamma = w*L for a nonzero linear form L, so f o gamma = f(w)*L^2 mod r.
+    """
+    w = (gamma[0][0] % r, gamma[1][0] % r)
+    if w == (0, 0):
+        w = (gamma[0][1] % r, gamma[1][1] % r)
+    return f.value(*w) % r
+
+
 def _check_local_at_det(inst):
     """The theorem's own precondition: b*g(x,y) = n must be solvable modulo
-    r^(2k) for each prime power r^k of det(gamma).  Checked by direct scan
-    (rho is invertible at these primes, so scanning g covers g_gamma too).
+    r^(2k) for each prime power r^k of det(gamma).
+
+    rho is invertible at these primes, so g may be replaced by f o gamma =
+    f(w)*L^2 mod r.  A solution mod r needs f(w) != 0 and n/(b*f(w)) a
+    square mod r; conversely such a solution has L != 0, where the
+    gradient 2*f(w)*L*grad(L) is a unit (r is odd), so Hensel's lemma
+    lifts it to every power of r.  The exponent k plays no part.
     """
     for r, k in inst.det_fac.factors:
-        mod = r ** (2 * k)
-        if mod * mod > _LOCAL_SCAN_CAP:
-            raise BudgetError(f"local scan mod {mod} over budget")
-        target = inst.n % mod
-        if not any(
-            (inst.b * inst.g.value(x, y)) % mod == target
-            for x in range(mod)
-            for y in range(mod)
-        ):
+        lam = _image_value(inst.f, inst.gamma, r)
+        if lam == 0 or arith.kronecker(inst.n * arith.inv_mod(inst.b * lam, r), r) != 1:
             raise ValidationError(
                 f"no local solution modulo {r}^{2 * k} of det(gamma)^2"
             )
@@ -476,17 +492,14 @@ def solve_master(inst, rng):
     # ahead of time; matching a single pre-drawn u would reject the same
     # solutions chi_mod times slower
     uset = frozenset(inst.u_residues)
-    # past the per-class table range the walk's divisors run to hundreds
-    # of bits, so every attempt falls back to d = 1 with the same h and
-    # the same few cosets; a short budget covers them fully
+    # past GENUS_ENUM_DISC_BOUND there is no per-class table to draw a
+    # class from, so every attempt uses the principal class with d = 1,
+    # the same h and the same few cosets; a short budget covers them fully
     stuck = abs(dg) > GENUS_ENUM_DISC_BOUND
     max_attempts = MASTER_STUCK_ATTEMPTS if stuck else MASTER_MAX_ATTEMPTS
     for attempt in range(1, max_attempts + 1):
         fell_back = False
         if stuck:
-            # a walk divisor d > 1 fitting the window would need roughly
-            # a single-step walk, probability 2^-steps; not worth paying
-            # a full class-group walk per attempt to see it discarded
             stats["divisor_infeasible"] += 1
             k_form, d, wit, h = principal, 1, (1, 0), g_red
             fell_back = True
@@ -567,6 +580,6 @@ def represent_in_O0(alg, n, rng):
         out = so.embed(s, t, x, y)
     for _ in range(e):
         out = alg.j * out
-    assert out.nrd() == n
-    assert so.order.contains(out)
+    quat._ensure(out.nrd() == n, "nrd of the norm representative")
+    quat._ensure(so.order.contains(out), "norm representative in O0")
     return out

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, eqsolver, linalg, qform, quat
+from . import arith, eqsolver, linalg, quat
 from .arith import Factorization
 from .errors import BudgetError, ValidationError
 
@@ -335,10 +334,7 @@ def _extra_exponent(f, g, n, p, n2v, ell):
     is a non-residue mod n.  None when the image line is isotropic for
     f; that is the degenerate suborder-ideal case, retried upstream.
     """
-    col = (g[0][0] % n, g[1][0] % n)
-    if col == (0, 0):
-        col = (g[0][1] % n, g[1][1] % n)
-    lam = f.value(col[0], col[1]) % n
+    lam = eqsolver._image_value(f, g, n)
     if lam == 0:
         return None
     base = n2v * arith.inv_mod(p * lam % n, n) % n
@@ -397,13 +393,8 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
     xp = g[0][0] * x + g[0][1] * y
     yp = g[1][0] * x + g[1][1] * y
     combined = so.embed(n * s, n * t, xp, yp)
-    assert combined.nrd() == target
-    prod = norm_rep * combined
-    assert prime_ideal.contains(prod)
-    connector = prod * wit * Fraction(1, n)
-    assert walked.contains(connector)
+    connector = norm_rep * combined * wit * Fraction(1, n)
     out = quat.equiv_from_element(ideal, connector)
-    assert out.norm() == n1.value() * target
     ctx = KlptContext(
         ideal=ideal,
         n1=n1,
@@ -505,9 +496,8 @@ def powersmooth_equiv(ideal, bound, rng):
         q = arith.next_prime(q)
     n = Factorization(tuple(factors), 1)
     ctx = equiv_ideal_context(ideal, n, n, 2, rng)
-    out = ctx.output
-    assert out.norm() == n.value() ** 2 * 2**ctx.extra_exp
     exps = {q: 2 * e for q, e in n.factors}
     exps[2] += ctx.extra_exp
-    assert all(q**e <= bound for q, e in exps.items())
-    return out
+    quat._ensure(all(q**e <= bound for q, e in exps.items()),
+                 "output norm is bound-powersmooth")
+    return ctx.output

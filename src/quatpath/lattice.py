@@ -30,7 +30,6 @@ __all__ = [
     "ellipsoid_sampler",
     "sample_ellipsoid",
     "enumerate_by_value",
-    "shortest_nonzero",
 ]
 
 
@@ -520,16 +519,3 @@ def enumerate_by_value(form: GramForm, bound: int, lower: int = 1):
         x[i] = 0
 
     yield from rec(n - 1, 0)
-
-
-def shortest_nonzero(form: GramForm) -> tuple[tuple, int]:
-    """A shortest nonzero vector and its value (exact)."""
-    red, u = lll_reduce(form)
-    start = min(red.m[i][i] for i in range(form.rank)) // 2
-    best_vec, best_val = None, None
-    for vec, val in enumerate_by_value(red, start, lower=1):
-        if best_val is None or val < best_val:
-            best_vec, best_val = vec, val
-    # map through the LLL transform back to original coordinates
-    orig = linalg.vec_mat(best_vec, u)
-    return tuple(orig), best_val

@@ -145,31 +145,6 @@ def left_kernel(m: Mat) -> Mat:
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
-def solve_left_int(m: Mat, b) -> tuple | None:
-    """One integer solution x of x * M = b, or None.
-
-    Back-substitution against the HNF; tiny systems only.
-    """
-    h, u = hnf_with_transform(m)
-    rows = [row for row in h if any(row)]
-    coeff = [0] * len(h)
-    target = list(b)
-    for idx, row in enumerate(rows):
-        col = next(j for j, x in enumerate(row) if x)
-        if target[col] % row[col] != 0:
-            return None
-        q = target[col] // row[col]
-        coeff[idx] = q
-        target = [t - q * x for t, x in zip(target, row)]
-    if any(target):
-        return None
-    x = [0] * len(u[0])
-    for idx, c in enumerate(coeff):
-        if c:
-            x = [xi + c * ui for xi, ui in zip(x, u[idx])]
-    return tuple(x)
-
-
 def lattice_intersection(b1: Mat, b2: Mat) -> Mat:
     """Intersection of two full-rank row lattices in the same Z^n.
 
@@ -183,20 +158,3 @@ def lattice_intersection(b1: Mat, b2: Mat) -> Mat:
     if not vecs:
         return ()
     return hnf(tuple(vecs))
-
-
-def content(v) -> int:
-    """gcd of the entries (nonnegative)."""
-    g = 0
-    for x in v:
-        g = abs(x) if g == 0 else _gcd(g, abs(x))
-        # gcd 1 can stop early
-        if g == 1:
-            return 1
-    return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -354,20 +354,6 @@ class ClassGroup:
     def same_genus(self, i: int, j: int) -> bool:
         return self.genus_ids[i] == self.genus_ids[j]
 
-    def genus_residues(self, i: int, budget: int = 10**6) -> frozenset:
-        """Residues mod |D|, coprime to D, represented by class i's genus."""
-        mod = abs(self.disc)
-        if mod * mod > budget:
-            raise BudgetError(f"residue scan {mod}^2 exceeds budget {budget}")
-        f = self.forms[i]
-        out = set()
-        for x in range(mod):
-            for y in range(mod):
-                v = f.value(x, y) % mod
-                if math.gcd(v, mod) == 1:
-                    out.add(v)
-        return frozenset(out)
-
 
 def class_group(D: int, bound: int = 10**7) -> ClassGroup:
     """Enumerate all reduced primitive forms of discriminant D."""
@@ -390,21 +376,6 @@ def class_group(D: int, bound: int = 10**7) -> ClassGroup:
             forms.append(BinaryQF(a, b, c))
     forms.sort(key=lambda f: (f.a, f.b, f.c))
     return ClassGroup(D, tuple(forms))
-
-
-def representation_count(f: BinaryQF, N: int) -> int:
-    """Exact #{(x, y) in Z^2 : f(x, y) = N}."""
-    if N <= 0:
-        raise ValidationError("N must be positive")
-    return lattice.count_ellipsoid_dim2(f, (0, 0), N) - lattice.count_ellipsoid_dim2(
-        f, (0, 0), N - 1
-    )
-
-
-def genus_representation_count(D: int, N: int) -> int:
-    """Representations of N summed over every primitive class of disc D."""
-    cg = class_group(D)
-    return sum(representation_count(f, N) for f in cg.forms)
 
 
 def _form_content(form: lattice.GramForm) -> int:
@@ -449,85 +420,3 @@ def sample_prime_large(
     if not pool:
         raise BudgetError("no prime found in the requested window")
     return pool[rng.randrange(len(pool))]
-
-
-def class_walk(D: int, m: int, rng: random.Random, steps: int | None = None):
-    """Random walk over split-prime steps in the class group of D.
-
-    Returns (cls, divisor, rep) with cls reduced, divisor a product of
-    split primes coprime to m, and cls(rep) = divisor.  Up to the
-    enumeration bound the generating set is verified against the full
-    group and the walk is long enough (with lazy steps for aperiodicity)
-    that the endpoint bias sits far below desk-scale statistical
-    resolution.  Past that bound the group is never materialized: the
-    walk steps through the split primes below the usual log-cubed cap,
-    which generate under standard heuristics, with the step count scaled
-    to the sqrt(|D|) size of the group.
-    """
-    if m < 1:
-        raise ValidationError("m must be >= 1")
-    _check_disc(D)
-    enumerable = abs(D) <= 10**7
-    if enumerable:
-        cg = class_group(D)
-        principal = cg.forms[cg.identity_index]
-        if cg.h == 1:
-            return principal, 1, (1, 0)
-        h_bits = cg.h.bit_length()
-    else:
-        cg = None
-        principal = reduce_form(principal_form(D))[0]
-        h_bits = max(8, abs(D).bit_length() // 2)
-    c = int(math.log(abs(D)) ** 3) + 20
-    while True:
-        gens = []
-        for p in arith.primes_up_to(c):
-            if m % p == 0:
-                continue
-            fp = prime_form(D, p)
-            if fp is not None:
-                gens.append((p, fp))
-            if not enumerable and len(gens) >= 16:
-                break
-        if gens and not enumerable:
-            break
-        if gens:
-            # the shortest prefix that spans the group keeps the span
-            # check cheap; one or two primes usually suffice
-            take = None
-            for k in range(1, len(gens) + 1):
-                if _generates(cg, [f for _, f in gens[:k]]):
-                    take = k
-                    break
-            if take is not None:
-                gens = gens[:take]
-                break
-        if c > 6 * abs(D):
-            raise BudgetError("no generating set of split primes below the cap")
-        c *= 2
-    if steps is None:
-        steps = 16 + 4 * h_bits
-    cls, rep, divisor = principal, (1, 0), 1
-    for _ in range(steps):
-        if rng.randrange(2):
-            continue
-        p, fp = gens[rng.randrange(len(gens))]
-        step = fp if rng.randrange(2) else fp.opposite()
-        cls, rep = compose_with_coords(cls, rep, step, (1, 0))
-        divisor *= p
-    assert cls.value(*rep) == divisor
-    return cls, divisor, rep
-
-
-def _generates(cg: ClassGroup, forms) -> bool:
-    idxs = [cg.index_of(f) for f in forms]
-    reached = {cg.identity_index}
-    frontier = [cg.identity_index]
-    while frontier:
-        cur = frontier.pop()
-        for gi in idxs:
-            nxt = cg.compose_indices(cur, gi)
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    return len(reached) == cg.h

@@ -405,25 +405,6 @@ class SpecialOrder:
         jj = self.alg.j
         return (one * s + om * t) + (one * x + om * y) * jj
 
-    def norm_pair(self, el: QuatElement):
-        """(s, t, x, y) with el = (s + t om) + (x + y om) j, or None."""
-        om = self.omega.coords
-        c = el.coords
-        # components 1, i give (s, t); j, ij give (x, y) through om
-        t = c[1] / om[1]
-        s = c[0] - t * om[0]
-        y = c[3] / om[1]
-        x = c[2] - y * om[0]
-        if (
-            s.denominator == 1
-            and t.denominator == 1
-            and x.denominator == 1
-            and y.denominator == 1
-            and self.embed(s, t, x, y) == el
-        ):
-            return int(s), int(t), int(x), int(y)
-        return None
-
 
 def special_order(alg: QuatAlgebra) -> SpecialOrder:
     p, q = alg.p, alg.q

@@ -183,20 +183,3 @@ def test_primes_up_to():
     flags = sieve(10000)
     assert arith.primes_up_to(10000) == [p for p in range(10001) if flags[p]]
     assert arith.primes_up_to(1) == []
-
-
-@given(st.integers(0, 10**12))
-def test_is_square(n):
-    assert arith.is_square(n) == (math.isqrt(n) ** 2 == n)
-
-
-def test_multiplicative_order():
-    rng = random.Random(6)
-    for _ in range(200):
-        m = rng.randrange(2, 2000)
-        a = rng.randrange(1, m)
-        if math.gcd(a, m) != 1:
-            continue
-        k = arith.multiplicative_order(a, m)
-        assert pow(a, k, m) == 1
-        assert all(pow(a, d, m) != 1 for d in range(1, min(k, 50)))

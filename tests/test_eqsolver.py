@@ -1,12 +1,19 @@
 """Equation solvers: a*z + b*g sampling, genus randomization, the master
 equation, and norm representation on the special order."""
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from quatpath import arith, eqsolver, lattice, qform, quat
+import quatpath
+from quatpath import arith, eqsolver, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
 from quatpath.eqsolver import (
     equation_instance,
@@ -17,6 +24,8 @@ from quatpath.eqsolver import (
     solve_master,
 )
 from quatpath.errors import BudgetError, ValidationError
+
+from oracles import genus_representation_count, genus_residues, representation_count
 
 ID2 = ((1, 0), (0, 1))
 
@@ -190,14 +199,11 @@ def test_randomizer_uniform_over_h3():
     assert stat < chi2_critical(2), counts
 
 
-def test_randomizer_large_disc_walk_path():
-    # above the enumeration bound the walk supplies the class; witness and
-    # divisor contracts are the same
-    rng = random.Random(8)
+def test_randomizer_large_disc_over_budget():
+    # past the bound no per-class table is built, so no class is drawn
     D = -4 * (eqsolver.GENUS_ENUM_DISC_BOUND + 1)
-    for _ in range(5):
-        cls, d, wit = genus_randomizer_B(D, 6, rng)
-        assert cls.disc == D and cls.value(*wit) == d
+    with pytest.raises(BudgetError, match="class table bound"):
+        genus_randomizer_B(D, 6, random.Random(8))
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,7 @@ def test_instance_derived_fields():
     for (d, wit), form in zip(inst.left_table, inst.class_group_f.forms):
         assert form.value(*wit) == d
     # admissible residues are genus residues of f passing the character test
-    cg = inst.class_group_f
-    res = cg.genus_residues(cg.index_of(f))
+    res = genus_residues(f)
     for u in inst.u_residues:
         assert u in res
         w = ((n - u * inst.a) * arith.inv_mod(1, 23)) % 23
@@ -283,8 +288,8 @@ def test_lift_two_genera_disc20():
     inst0 = equation_instance(f, ID2, 1, 99991)
     a = inst0.a
     ell = 23
-    assert qform.representation_count(qform.BinaryQF(2, 2, 3), ell) > 0
-    assert qform.representation_count(qform.BinaryQF(1, 0, 5), ell) == 0
+    assert representation_count(qform.BinaryQF(2, 2, 3), ell) > 0
+    assert representation_count(qform.BinaryQF(1, 0, 5), ell) == 0
     found = None
     for x in range(1, 60):
         for y in range(60):
@@ -400,6 +405,82 @@ def test_master_local_obstruction_at_det():
         solve_master(inst, random.Random(14))
 
 
+def image_basis(gamma, mod):
+    """HNF rows of the image of gamma mod `mod`: its columns plus mod*Z^2."""
+    cols = ((gamma[0][0], gamma[1][0]), (gamma[0][1], gamma[1][1]))
+    return linalg.hnf(cols + ((mod, 0), (0, mod)))
+
+
+def image_values(f, basis, mod):
+    """Every value of f mod `mod` on the image with this basis.
+
+    (x, y) -> gamma*(x, y) covers the image evenly, so these are the values
+    of f o gamma found by the scan of (Z/mod)^2 that solve_master once
+    ran, read from |det gamma|_r times fewer points.
+    """
+    (h11, h12), (_, h22) = basis
+    return {f.value(i * h11, i * h12 + j * h22) % mod
+            for i in range(mod // h11) for j in range(mod // h22)}
+
+
+def local_check_passes(f, gamma, det_fac, b, n):
+    inst = SimpleNamespace(f=f, gamma=gamma, det_fac=det_fac, b=b, n=n)
+    try:
+        eqsolver._check_local_at_det(inst)
+    except ValidationError:
+        return False
+    return True
+
+
+def test_local_check_matches_scan():
+    # every content-1 gamma with entries in [-6, 6] and one of these
+    # determinants, prime powers and composites alike
+    dets = {d: arith.factor_completely(d) for d in (3, 5, 7, 9, 15, 21, 25, 27)}
+    forms = (qform.BinaryQF(1, 0, 1), qform.BinaryQF(1, 0, 2),
+             qform.BinaryQF(1, 1, 2), qform.BinaryQF(2, 1, 3))
+    pairs = ((1, 1), (1, 2), (2, 1), (103, 11), (5, 3))
+    memo = {}
+    outcomes = {}
+    for m in itertools.product(range(-6, 7), repeat=4):
+        gamma = ((m[0], m[1]), (m[2], m[3]))
+        det = abs(eqsolver._det2(gamma))
+        if det not in dets or eqsolver._content2(gamma) != 1:
+            continue
+        fac = dets[det]
+        images = [(r ** (2 * k), image_basis(gamma, r ** (2 * k))) for r, k in fac.factors]
+        for f in forms:
+            scans = []
+            for mod, basis in images:
+                if (f, basis) not in memo:
+                    memo[f, basis] = image_values(f, basis, mod)
+                scans.append((mod, memo[f, basis]))
+            for b, n in pairs:
+                if math.gcd(b * n, det) != 1:
+                    continue
+                want = all(n * arith.inv_mod(b, mod) % mod in vals for mod, vals in scans)
+                assert local_check_passes(f, gamma, fac, b, n) == want, (f, gamma, b, n)
+                outcomes.setdefault(det, set()).add(want)
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+    assert set(outcomes) == set(dets)
+
+
+def test_local_check_beyond_the_old_scan():
+    # det(gamma) = 1009 needs the residues mod 1009^2, out of reach of a
+    # scan; gamma's image line mod 1009 is (1, 0), where f = 1, so the
+    # instance is locally solvable exactly when n/103 is a square mod 1009
+    f = qform.BinaryQF(1, 0, 1)
+    gamma = ((1, 0), (0, 1009))
+    good, bad = 10**14 + 1, 10**14 + 7
+    assert arith.kronecker(good * arith.inv_mod(103, 1009), 1009) == 1
+    assert arith.kronecker(bad * arith.inv_mod(103, 1009), 1009) == -1
+    inst = equation_instance(f, gamma, 103, good)
+    check_master(inst, random.Random(21))
+    inst = equation_instance(f, gamma, 103, bad)
+    assert inst.u_residues
+    with pytest.raises(ValidationError, match="modulo 1009"):
+        solve_master(inst, random.Random(21))
+
+
 def test_master_solution_diversity():
     # min-entropy proxy: 100 seeded runs on one instance give >= 25 tuples
     f = qform.BinaryQF(1, 0, 1)
@@ -471,7 +552,7 @@ def test_master_positivity_of_solution_counts():
             if arith.is_prime(z):
                 rem = n - a * z
                 if rem > 0 and rem % b == 0:
-                    count += qform.genus_representation_count(D, rem // b)
+                    count += genus_representation_count(D, rem // b)
             z += v
         if count > 0:
             positive += 1
@@ -551,6 +632,25 @@ def test_represent_builds_no_gramform(monkeypatch):
         n = arith.next_prime(37 * alg.p * alg.p)
         assert represent_in_O0(alg, n, random.Random(alg.p)).nrd() == n
     assert calls == []
+
+
+def test_represent_postconditions_hold_under_python_O():
+    # a wrong tuple from solve_master must not slip out when asserts are
+    # compiled away
+    code = (
+        "import random, sys\n"
+        "from quatpath import eqsolver, quat\n"
+        "print(sys.flags.optimize)\n"
+        "eqsolver.solve_master = lambda inst, rng: (1, 0, 0, 0)\n"
+        "eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0))\n"
+    )
+    src = str(Path(quatpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.stdout.strip() == "1"
+    assert run.returncode != 0
+    assert "postcondition failed: nrd of the norm representative" in run.stderr
 
 
 def test_represent_infeasible_small_n():

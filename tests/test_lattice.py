@@ -24,9 +24,10 @@ from quatpath.lattice import (
     reduce_binary,
     sample_ellipsoid,
     sample_ellipsoid_coset_dim2,
-    shortest_nonzero,
 )
 from quatpath.qform import BinaryQF
+
+from oracles import shortest_nonzero
 
 
 def rand_posdef(rng, n, spread=6, odd=False):

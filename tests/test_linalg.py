@@ -150,21 +150,6 @@ def test_left_kernel():
         assert len(k) == r - len(linalg.hnf(m))
 
 
-def test_solve_left_int():
-    rng = random.Random(17)
-    hits = 0
-    while hits < 120:
-        m = rand_mat(rng, 3, 4, -5, 5)
-        x = tuple(rng.randrange(-4, 5) for _ in range(3))
-        b = tuple(sum(x[i] * m[i][j] for i in range(3)) for j in range(4))
-        got = linalg.solve_left_int(m, b)
-        assert got is not None
-        assert tuple(sum(got[i] * m[i][j] for i in range(3)) for j in range(4)) == b
-        hits += 1
-    # insolvable case
-    assert linalg.solve_left_int(((2, 0), (0, 2)), (1, 0)) is None
-
-
 def test_lattice_intersection():
     rng = random.Random(19)
     done = 0
@@ -190,9 +175,3 @@ def test_lattice_intersection():
             v = tuple(rng.randrange(-6, 7) for _ in range(3))
             if in_lat(v, ia) and in_lat(v, ib):
                 assert in_lat(v, ik)
-
-
-def test_content():
-    assert linalg.content((4, 6, 10)) == 2
-    assert linalg.content((0, 0, 7)) == 7
-    assert linalg.content((3,)) == 3

@@ -211,7 +211,6 @@ def test_special_order_norm_law():
             s, t, x, y = (rng.randrange(-9, 10) for _ in range(4))
             el = so.embed(s, t, x, y)
             assert el.nrd() == so.f.value(s, t) + p * so.f.value(x, y)
-            assert so.norm_pair(el) == (s, t, x, y)
 
 
 def test_lattice_canonical_form():
