@@ -145,7 +145,7 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
         x, y = qform._apply(m, v)
         val = g.value(x, y)
         z, rem = divmod(n - b * val, a)
-        assert rem == 0 and z > 0 and a * z + b * val == n
+        quat._ensure(rem == 0 and z > 0 and a * z + b * val == n, "a*z + b*g(x, y) = n, z > 0")
         return z, x, y
     raise BudgetError("empty solution set: no admissible point with z > 0")
 

@@ -12,7 +12,6 @@ stray factor of ell when local solvability forces it.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -275,18 +274,21 @@ def _require(holds: bool, relation: str):
 def _window_base(p, ell, n2v):
     """Lower edge rho of the prime-norm window [rho, rho^2].
 
-    A workable prime norm N has to leave room in n2 for both layers of
-    the master equation (at least 2*N^2 + p), capping N at
-    sqrt((n2 - p) / 2); hunting in [sqrt(cap), cap] keeps the window
-    wide without breaching that.
+    For a prime norm N the master equation's admissible coset holds
+    about n2/(p*N^3) points, so N must stay below (n2/p)^(1/3).  rho is
+    the largest integer with 64*p*rho^6 <= n2, which puts the top of the
+    window at about (n2/p)^(1/3)/4, and at least ell + 2.  Raises
+    BudgetError when that floor leaves the coset at the top of the
+    window with less than one point to expect.
     """
-    room = (n2v - p) // 2
-    if room < 9:
-        raise BudgetError("n2 leaves no room for the prime-norm window at this p")
-    n_hi = math.isqrt(room)
-    rho = max(3, ell + 1, math.isqrt(n_hi))
-    if rho * rho > n_hi:
-        raise BudgetError("n2 too small for a usable prime-norm window with this ell")
+    m = n2v // (64 * p)
+    rho = 0  # floor(m^(1/6)), bit by bit from 2^(bitlength(m)//6) down
+    for bit in reversed(range(m.bit_length() // 6 + 1)):
+        if (rho | 1 << bit) ** 6 <= m:
+            rho |= 1 << bit
+    rho = max(rho, ell + 2)
+    if p * rho**6 > n2v:
+        raise BudgetError("n2 too small for a usable prime-norm window at this p and ell")
     return rho
 
 

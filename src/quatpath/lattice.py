@@ -2,9 +2,11 @@
 
 A GramForm is a rank-r lattice presented by its Gram matrix: the lattice
 is Z^r, the geometry comes from f(x) = x^T G x.  The package builds them
-for its rank-4 quaternion lattices.  The rank-2 layer (reduce_binary,
-cvp_dim2, the *_dim2 functions) instead takes a positive definite binary
-form, a qform.BinaryQF, and reads its integer coefficients a, b, c.
+for its rank-4 quaternion lattices.  The rank-2 layer (reduce_binary and
+the *_dim2 functions) instead takes a positive definite binary form, a
+qform.BinaryQF, and reads its integer coefficients a, b, c; over a reduced
+basis one row formula serves counting, enumeration and the exact coset
+sampler.
 Everything is exact integer arithmetic, never floats: a GramForm holds
 the integer matrix 2G, and LLL, Fincke-Pohst enumeration and the
 ellipsoid sampler share one integral Gram-Schmidt computation.
@@ -23,7 +25,6 @@ __all__ = [
     "GramForm",
     "lll_reduce",
     "reduce_binary",
-    "cvp_dim2",
     "count_ellipsoid_dim2",
     "enumerate_ellipsoid_dim2",
     "sample_ellipsoid_coset_dim2",
@@ -204,83 +205,6 @@ def _to_input(z, u) -> tuple[int, int]:
     return (z[0] * u[0][0] + z[1] * u[1][0], z[0] * u[0][1] + z[1] * u[1][1])
 
 
-def _cvp2_scaled(a: int, b: int, c: int, n1: int, n2: int, d: int) -> tuple[int, int]:
-    """Closest vector for the form (a,b,c) and target (n1/d, n2/d).
-
-    Minimizes q(x1*d - n1, x2*d - n2) where q(X,Y) = aX^2 + bXY + cY^2,
-    over integer (x1, x2).  Ties break lexicographically on (x1, x2).
-    Everything is exact integer arithmetic.
-    """
-    disc4 = 4 * a * c - b * b  # > 0 for definite forms
-    best_val = None
-    best = None
-
-    def consider(x1: int, x2: int):
-        nonlocal best_val, best
-        x = x1 * d - n1
-        y = x2 * d - n2
-        val = a * x * x + b * x * y + c * y * y
-        if best_val is None or val < best_val or (val == best_val and (x1, x2) < best):
-            best_val = val
-            best = (x1, x2)
-
-    def probe_x1(x2: int):
-        # optimal real x1 at X = -bY/(2a), i.e. x1 = (n1 - bY/(2a)) / d
-        y = x2 * d - n2
-        num = 2 * a * n1 - b * y
-        den = 2 * a * d
-        x1 = num // den  # floor
-        consider(x1, x2)
-        consider(x1 + 1, x2)
-
-    base = n2 // d  # floor of target's second coordinate
-    probe_x1(base)
-    probe_x1(base + 1)
-    # scan outward in x2 until the projected norm alone exceeds the best
-    step = 1
-    lo_alive = hi_alive = True
-    while lo_alive or hi_alive:
-        for x2, alive_flag in ((base - step, "lo"), (base + 1 + step, "hi")):
-            if alive_flag == "lo" and not lo_alive:
-                continue
-            if alive_flag == "hi" and not hi_alive:
-                continue
-            y = x2 * d - n2
-            # min over real x1 of q is disc4 * y^2 / (4a)
-            if disc4 * y * y > 4 * a * best_val:
-                if alive_flag == "lo":
-                    lo_alive = False
-                else:
-                    hi_alive = False
-                continue
-            probe_x1(x2)
-        step += 1
-    return best
-
-
-def cvp_dim2(form, target) -> tuple[int, int]:
-    """Closest lattice vector to a rational target in a binary form.
-
-    Ties on Voronoi boundaries break lexicographically on the vector.
-    """
-    a, b, c = form.a, form.b, form.c
-    t1 = Fraction(target[0])
-    t2 = Fraction(target[1])
-    d = t1.denominator * t2.denominator // math.gcd(t1.denominator, t2.denominator)
-    n1 = int(t1 * d)
-    n2 = int(t2 * d)
-    return _cvp2_scaled(a, b, c, n1, n2, d)
-
-
-# Grid resolution for the continuous-sampling step: fine enough that the
-# discretization bias is invisible next to sampling noise at desk scale.
-_GRID_BITS = 16
-
-# The coset sampler draws from sets of up to this many points exactly, by
-# enumeration, and from larger ones by rejection.
-_ENUMERATE_THRESHOLD = 4096
-
-
 def _reduced_coset(form, shift):
     """((a, b, c), U, (p1, p2, d)) for the point set {x : f(x + shift) <= rho}.
 
@@ -289,83 +213,60 @@ def _reduced_coset(form, shift):
     s' keeps the denominator d of the shift.
     """
     (a, b, c), u = reduce_binary(form.a, form.b, form.c)
-    s1 = Fraction(shift[0])
-    s2 = Fraction(shift[1])
+    s1, s2 = Fraction(shift[0]), Fraction(shift[1])
     d = math.lcm(s1.denominator, s2.denominator)
-    q1 = s1.numerator * (d // s1.denominator)
-    q2 = s2.numerator * (d // s2.denominator)
+    q1, q2 = int(s1 * d), int(s2 * d)
     return (a, b, c), u, (q1 * u[1][1] - q2 * u[1][0], q2 * u[0][0] - q1 * u[0][1], d)
 
 
-def _box(a: int, b: int, c: int, d: int, rho: int) -> tuple[int, int]:
-    """Rows and columns of the box the row scan covers; the budgets cap these."""
-    disc4 = 4 * a * c - b * b
-    rd2 = rho * d * d
-    return (
-        2 * ((math.isqrt(4 * a * rd2 // disc4) + 1) // d) + 3,
-        2 * (math.isqrt(4 * c * rd2 // disc4) // d) + 3,
-    )
+# Up to this many box rows the coset sampler scans them all, which is
+# exact at any point count and finds an empty set.  Past it a reduced form
+# has long rows too, so a drawn box point lands inside with probability
+# over 1/3 and a draw costs a few row computations, not one per row.
+_FEW_ROWS = 32
+
+# Tries the coset sampler makes past _FEW_ROWS rows; each fails with
+# probability under 2/3, so running out has probability under 10^-176.
+_ROW_TRIES = 1000
+
+
+def _box(a: int, b: int, c: int, p2: int, d: int, rho: int) -> tuple[range, int]:
+    """(rows, W): the box around {x : f(x + (p1, p2)/d) <= rho}, f reduced.
+
+    rows holds the x2 with disc4*n^2 <= 4a*rho*d^2, n = x2*d + p2: every
+    point inside has one, at each of them _row's square root is real, and
+    there are at most 4*sqrt(a*rho/disc4) + 1.  W = isqrt(4*rho/a) + 2 is
+    above the point count of every row, an interval of length at most
+    2*sqrt(rho/a) in x1.
+    """
+    nbound = math.isqrt(4 * a * rho * d * d // (4 * a * c - b * b))
+    rows = range(-((nbound + p2) // d), (nbound - p2) // d + 1)
+    return rows, math.isqrt(4 * rho // a) + 2
+
+
+def _row(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int, x2: int):
+    """(lo, hi): row x2 of {x : f(x + (p1, p2)/d) <= rho} is lo <= x1 <= hi.
+
+    With m = x1*d + p1 and n = x2*d + p2, a point is inside iff
+    (2am + bn)^2 <= 4a*rho*d^2 - disc4*n^2, a nonnegative bound for x2 in
+    the rows of _box.  Exact integer arithmetic; lo > hi for an empty row.
+    """
+    n = x2 * d + p2
+    # |2am + bn| <= isqrt(bound) exactly, as 2am + bn is an integer
+    sq = math.isqrt(4 * a * rho * d * d - (4 * a * c - b * b) * n * n)
+    m_lo = -((sq + b * n) // (2 * a))
+    m_hi = (sq - b * n) // (2 * a)
+    return -((p1 - m_lo) // d), (m_hi - p1) // d
 
 
 def _rows(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int):
-    """The nonempty rows of {x in Z^2 : f(x + (p1, p2)/d) <= rho}, f reduced.
-
-    Yields (x2, lo, hi), x2 ascending: the row holds the points (x1, x2)
-    with lo <= x1 <= hi.  With m = x1*d + p1 and n = x2*d + p2, a point is
-    inside iff (2am + bn)^2 <= 4a*rho*d^2 - disc4*n^2.  Exact integer
-    arithmetic; one pass per row of the box, however many points the rows
-    hold.
-    """
-    disc4 = 4 * a * c - b * b
-    rd2 = rho * d * d
-    nbound = math.isqrt(4 * a * rd2 // disc4) + 1
-    for x2 in range((-nbound - p2) // d - 1, (nbound - p2) // d + 2):
-        n = x2 * d + p2
-        delta = 4 * a * rd2 - disc4 * n * n
-        if delta < 0:
-            continue
-        # |2am + bn| <= isqrt(delta) exactly, as 2am + bn is an integer
-        sq = math.isqrt(delta)
-        m_lo = -((sq + b * n) // (2 * a))
-        m_hi = (sq - b * n) // (2 * a)
-        lo = -((p1 - m_lo) // d)
-        hi = (m_hi - p1) // d
+    """The nonempty rows (x2, lo, hi) of {x : f(x + (p1, p2)/d) <= rho}, f
+    reduced, x2 ascending: one pass per row of the box, however many points
+    the rows hold."""
+    for x2 in _box(a, b, c, p2, d, rho)[0]:
+        lo, hi = _row(a, b, c, p1, p2, d, rho, x2)
         if lo <= hi:
             yield x2, lo, hi
-
-
-def _sample_rejection(a, b, c, p1, p2, d, rho, rng) -> tuple[int, int]:
-    """Uniform x with f(x + (p1, p2)/d) <= rho, f reduced and the set nonempty.
-
-    Draws a point of the grid 2^-16 Z^2 uniformly from the ellipse of squared
-    radius (sqrt(rho) + mu)^2, mu bounding the covering radius, rounds it to
-    the nearest point of Z^2 + (p1, p2)/d and accepts it if inside.  The
-    acceptance regions are translates of one Voronoi cell, so accepted
-    points are uniform.  Returns reduced coordinates.
-    """
-    disc4 = 4 * a * c - b * b
-    # covering radius bound for integral binary forms: mu^2 <= (2/3) det(G)
-    mu2 = disc4 // 6 + 1
-    # S2 >= (sqrt(rho) + mu)^2, kept integral
-    s2 = rho + mu2 + 2 * (math.isqrt(rho * mu2) + 1)
-    t = 1 << _GRID_BITS
-    s2t = s2 * t * t
-    # bounding box of the ellipse q <= S2 (scaled by t)
-    w1 = math.isqrt(4 * c * s2t // disc4) + 1
-    w2 = math.isqrt(4 * a * s2t // disc4) + 1
-    rd2 = rho * d * d
-    for _ in range(100000):
-        v1 = rng.randint(-w1, w1)
-        v2 = rng.randint(-w2, w2)
-        if a * v1 * v1 + b * v1 * v2 + c * v2 * v2 > s2t:
-            continue
-        # nearest x to the target v/t - p/d, over the denominator t*d
-        z = _cvp2_scaled(a, b, c, v1 * d - p1 * t, v2 * d - p2 * t, t * d)
-        y1 = z[0] * d + p1
-        y2 = z[1] * d + p2
-        if a * y1 * y1 + b * y1 * y2 + c * y2 * y2 <= rd2:
-            return z
-    raise RuntimeError("ellipse sampler failed to accept; this should not happen")
 
 
 def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
@@ -378,7 +279,7 @@ def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
     (a, b, c), _, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
         return 0
-    box_rows = _box(a, b, c, d, rho)[0]
+    box_rows = len(_box(a, b, c, p2, d, rho)[0])
     if box_rows > budget:
         raise BudgetError(f"enumeration rows {box_rows} exceed budget {budget}")
     return sum(hi - lo + 1 for _, lo, hi in _rows(a, b, c, p1, p2, d, rho))
@@ -390,11 +291,9 @@ def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list
     (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
         return []
-    box_rows, box_cols = _box(a, b, c, d, rho)
-    if box_rows * box_cols > budget:
-        raise BudgetError(
-            f"enumeration box {box_rows}x{box_cols} exceeds budget {budget}"
-        )
+    xs, w = _box(a, b, c, p2, d, rho)
+    if len(xs) * w > budget:
+        raise BudgetError(f"enumeration box {len(xs)}x{w} exceeds budget {budget}")
     return [
         _to_input((x1, x2), u)
         for x2, lo, hi in _rows(a, b, c, p1, p2, d, rho)
@@ -405,29 +304,46 @@ def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list
 def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
     """Uniform sample from {x in Z^2 : f(x + shift) <= rho}, or None if empty.
 
-    One pass of the row scan over a reduced basis, stopped as soon as it
-    has seen more than _ENUMERATE_THRESHOLD points.  A set no larger is
-    sampled exactly from the stored rows; a larger one goes to the
-    rejection core, which rounds in the translated lattice Z^2 + shift
-    (whose Voronoi cells are the same translates, so accepted points are
-    uniform).
+    Works over a reduced basis, whose box (_box) has R rows, each holding
+    fewer than W points; R is known before any row is read.  With
+    R <= _FEW_ROWS it scans the rows once and draws one of their points
+    uniformly, or returns None.  Past that it draws a box row x2 and an
+    offset k in [0, W) uniformly and accepts (lo + k, x2) when
+    lo + k <= hi: every point has the same chance 1/(R*W) per try, so the
+    draw is exact.
+
+    Acceptance bound.  Reduced means |b| <= a <= c, so disc4 = 4ac - b^2
+    >= 3ac >= 3a^2 and R - 1 <= 4*sqrt(a*rho/disc4) <= (2/sqrt3)*L, where
+    L = 2*sqrt(rho/a) is the longest row's length: many rows force long
+    rows.  The rows with |n| <= (sqrt3/2)*max|n| are at least
+    (sqrt3/2)(R - 1) - 1 in number, each of length at least L/2, so they
+    hold at least L/2 - 1 points each, while W <= L + 2.  A try therefore
+    accepts with probability at least
+    ((sqrt3/2)(R - 1) - 1)(L/2 - 1) / (R(L + 2)), which increases in R
+    and L and exceeds 1/3 for every R > _FEW_ROWS = 32; in particular the
+    set is not empty.  Raises BudgetError after _ROW_TRIES tries.
     """
     (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
         return None
-    rows, total = [], 0
-    for x2, lo, hi in _rows(a, b, c, p1, p2, d, rho):
-        rows.append((x2, lo, hi))
-        total += hi - lo + 1
-        if total > _ENUMERATE_THRESHOLD:
-            return _to_input(_sample_rejection(a, b, c, p1, p2, d, rho, rng), u)
-    if total == 0:
-        return None
-    k = rng.randrange(total)
-    for x2, lo, hi in rows:
-        if lo + k <= hi:
-            return _to_input((lo + k, x2), u)
-        k -= hi - lo + 1
+    xs, w = _box(a, b, c, p2, d, rho)
+    if len(xs) <= _FEW_ROWS:
+        rows = list(_rows(a, b, c, p1, p2, d, rho))
+        total = sum(hi - lo + 1 for _, lo, hi in rows)
+        if total == 0:
+            return None
+        k = rng.randrange(total)
+        for x2, lo, hi in rows:
+            if lo + k <= hi:
+                return _to_input((lo + k, x2), u)
+            k -= hi - lo + 1
+    for _ in range(_ROW_TRIES):
+        x2 = xs[rng.randrange(len(xs))]
+        lo, hi = _row(a, b, c, p1, p2, d, rho, x2)
+        x1 = lo + rng.randrange(w)
+        if x1 <= hi:
+            return _to_input((x1, x2), u)
+    raise BudgetError(f"coset sampler: no point accepted in {_ROW_TRIES} tries")
 
 
 def ellipsoid_sampler(form: GramForm, rho: int):

@@ -481,6 +481,14 @@ def test_local_check_beyond_the_old_scan():
         solve_master(inst, random.Random(21))
 
 
+def test_master_thin_coset():
+    # at n = 10^15 + 5 sample_az_plus_bg draws from thin ellipses: few rows,
+    # long ones, and a covering radius far above the window
+    f = qform.BinaryQF(1, 0, 1)
+    inst = equation_instance(f, ((1, 0), (0, 1009)), 103, 10**15 + 5)
+    check_master(inst, random.Random(21))
+
+
 def test_master_solution_diversity():
     # min-entropy proxy: 100 seeded runs on one instance give >= 25 tuples
     f = qform.BinaryQF(1, 0, 1)
@@ -634,23 +642,44 @@ def test_represent_builds_no_gramform(monkeypatch):
     assert calls == []
 
 
-def test_represent_postconditions_hold_under_python_O():
-    # a wrong tuple from solve_master must not slip out when asserts are
-    # compiled away
+def run_under_python_O(patch, call):
+    """Run one call under python -O after a monkeypatch; the finished process."""
     code = (
         "import random, sys\n"
-        "from quatpath import eqsolver, quat\n"
+        "from quatpath import eqsolver, qform, quat\n"
+        "from quatpath.arith import Factorization\n"
         "print(sys.flags.optimize)\n"
-        "eqsolver.solve_master = lambda inst, rng: (1, 0, 0, 0)\n"
-        "eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0))\n"
+        f"{patch}\n"
+        f"{call}\n"
     )
     src = str(Path(quatpath.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.stdout.strip() == "1"
+    return run
+
+
+def test_represent_postconditions_hold_under_python_O():
+    # a wrong tuple from solve_master must not slip out when asserts are
+    # compiled away
+    run = run_under_python_O(
+        "eqsolver.solve_master = lambda inst, rng: (1, 0, 0, 0)",
+        "eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0))",
+    )
     assert run.returncode != 0
     assert "postcondition failed: nrd of the norm representative" in run.stderr
+
+
+def test_sampler_postcondition_holds_under_python_O():
+    # nor a point outside the window from the coset sampler
+    run = run_under_python_O(
+        "eqsolver.lattice.sample_ellipsoid_coset_dim2 = lambda *args: (10**6, 0)",
+        "eqsolver.sample_az_plus_bg(47, 1, 100007, qform.BinaryQF(5, 4, 29), "
+        "Factorization(((47, 1),), 1), random.Random(0))",
+    )
+    assert run.returncode != 0
+    assert "postcondition failed: a*z + b*g(x, y) = n, z > 0" in run.stderr
 
 
 def test_represent_infeasible_small_n():

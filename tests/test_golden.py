@@ -38,14 +38,16 @@ def norm_rep_outputs():
     return out
 
 
+# Re-pinned with GOLDEN_COSET: these targets reach cosets of more than 32
+# box rows.
 def test_represent_in_O0_pinned():
     assert norm_rep_outputs() == [
-        (1019, 38419379, ("3827", "-2230", "99", "-93")),
-        (1019, 212837625, ("-11303", "-3260", "-230", "-142")),
-        (1013, 37968277, ("5451", "1882", "-2", "24")),
-        (1013, 212837625, ("-211", "-2613", "-142", "-297")),
-        (1009, 37669003, ("10701/2", "149/2", "-78", "-16")),
-        (1009, 212837625, ("20723/2", "4545/2", "144", "50")),
+        (1019, 38419379, ("-3638", "2895", "127", "19")),
+        (1019, 212837625, ("12020", "3517", "-140", "188")),
+        (1013, 37968277, ("1829", "1032", "126", "90")),
+        (1013, 212837625, ("-4939", "-8289", "206", "63")),
+        (1009, 37669003, ("207/2", "1607/2", "153", "25")),
+        (1009, 212837625, ("-6531", "-1760", "-214", "90")),
     ]
 
 
@@ -54,13 +56,13 @@ def test_represent_in_O0_pinned():
 
 # (g, a, n): sample_az_plus_bg(a, 1, n, g, ...) samples the coset
 # x0/a + Z^2 of the sublattice basis ((a, 0), (r, 1)) of g, whose Gram is
-# far from reduced.  rho values give sets of exactly 0, 1, 4096 and 4097
-# points (4096 is the size up to which the sampler enumerates) and one
-# large set served by rejection.
+# far from reduced.  rho values give sets of exactly 0 and 1 points, sets
+# whose box has exactly _FEW_ROWS = 32 and 33 rows (up to 32 rows the
+# sampler draws from the stored rows) and one large set.
 COSET_CASES = [
-    ((5, 4, 29), 47, 100007, (37, 38, 727457, 727598, 5_000_000)),
-    ((10, -6, 17), 23, 100001, (65, 66, 380624, 380785, 3_000_000)),
-    ((3, -2, 41), 61, 100001, (265, 266, 877324, 877873)),
+    ((5, 4, 29), 47, 100007, (37, 38, 166061, 173280, 5_000_000)),
+    ((10, -6, 17), 23, 100001, (65, 66, 307461, 324635, 3_000_000)),
+    ((3, -2, 41), 61, 100001, (265, 266, 300834, 334668)),
 ]
 
 
@@ -88,36 +90,52 @@ def coset_outputs():
     return out
 
 
+# The entries of rho 166061 and up were re-pinned when the rejection core
+# behind sets of over 4096 points was replaced by the exact row sampler: on
+# thin ellipses that core raised RuntimeError.  Sets of at most 32 box rows
+# keep the draws they had.
 GOLDEN_COSET = [
     ((11045, 4418, 470), '8/47', 37, 0, '97feebf13ebdd66935da2417'),
     ((11045, 4418, 470), '8/47', 38, 1, '50111d837f68542f054f1a2b'),
-    ((11045, 4418, 470), '8/47', 727457, 4096, '3b6f6e42396625a80e4a0727'),
-    ((11045, 4418, 470), '8/47', 727598, 4097, '5bc886837b1466cbb342000a'),
-    ((11045, 4418, 470), '8/47', 5000000, 28137, 'e7fb2bf7e480c0639ba17a28'),
+    ((11045, 4418, 470), '8/47', 166061, 934, 'dceca5763c3fe2bd479c2432'),
+    ((11045, 4418, 470), '8/47', 173280, 973, 'd93f106ef91fc3ebdceb6cd4'),
+    ((11045, 4418, 470), '8/47', 5000000, 28137, '9aa2302c8b1bfaab9d7bf8c5'),
     ((5290, 9522, 4301), '5/23', 65, 0, '97feebf13ebdd66935da2417'),
     ((5290, 9522, 4301), '5/23', 66, 1, 'c842e035c7e45ab86fbba577'),
-    ((5290, 9522, 4301), '5/23', 380624, 4096, 'e68170bb575e33ab948c0c71'),
-    ((5290, 9522, 4301), '5/23', 380785, 4097, 'abaeeaef97f9f4af0ae96b16'),
-    ((5290, 9522, 4301), '5/23', 3000000, 32300, '66cdd6ce61db5f84031c6d06'),
+    ((5290, 9522, 4301), '5/23', 307461, 3303, '27721cd21aa0418ca3b42e54'),
+    ((5290, 9522, 4301), '5/23', 324635, 3483, 'a82aafcd177bd9fa8feac35f'),
+    ((5290, 9522, 4301), '5/23', 3000000, 32300, 'c189ea8cfd6a498248abe40f'),
     ((11163, 14884, 5002), '29/61', 265, 0, '97feebf13ebdd66935da2417'),
     ((11163, 14884, 5002), '29/61', 266, 1, '6759bd7957abc97a9646301d'),
-    ((11163, 14884, 5002), '29/61', 877324, 4096, '8d1abbe3458306515f04e9b3'),
-    ((11163, 14884, 5002), '29/61', 877873, 4097, '02d0a4b47608de8c7976023e'),
+    ((11163, 14884, 5002), '29/61', 300834, 1402, '1e02bb1026ba7255d7927635'),
+    ((11163, 14884, 5002), '29/61', 334668, 1561, '658d126ba82977e2863e6faf'),
 ]
+
+
+def box_rows(gram, shift, rho):
+    (a, b, c), _, (_, p2, d) = lattice._reduced_coset(gram, shift)
+    return len(lattice._box(a, b, c, p2, d, rho)[0])
 
 
 def test_coset_sampler_pinned():
     got = coset_outputs()
     assert [row[3] for row in got] == [
-        0, 1, 4096, 4097, 28137, 0, 1, 4096, 4097, 32300, 0, 1, 4096, 4097
+        0, 1, 934, 973, 28137, 0, 1, 3303, 3483, 32300, 0, 1, 1402, 1561
     ]
+    for g, a, n, rhos in COSET_CASES:
+        gram, shifts = az_coset(BinaryQF(*g), a, n)
+        shift = (shifts[0], Fraction(0))
+        assert [box_rows(gram, shift, rho) for rho in rhos[2:4]] == [32, 33]
+        assert box_rows(gram, shift, rhos[2] - 1) == 31
     assert got == GOLDEN_COSET
 
 
+# The second row was re-pinned with GOLDEN_COSET: its cosets have more than
+# 32 box rows.
 GOLDEN_AZ = [
     [(223, 125, 13), (1231, -83, 23), (2118, 3, -4), (1290, 78, 13), (381, 128, -18)],
-    [(72621, -2123, -255), (144580, 2183, -116), (222813, -805, 807),
-     (207031, -202, -818), (624829, 49, 143)],
+    [(122259, 130, 904), (442272, 414, 509), (189636, 2055, -280),
+     (287823, -828, -616), (572652, 469, -296)],
     [(2664, -12, -49), (2569, -47, 26), (655, -94, -8), (1579, -82, -14), (3132, 51, -5)],
 ]
 

@@ -1,4 +1,4 @@
-"""Quadratic form lattices: reduction, CVP, counting, samplers.
+"""Quadratic form lattices: reduction, counting, samplers.
 
 Brute-force box enumerations serve as the oracle for every geometric
 claim; samplers are additionally checked for support and rough balance.
@@ -11,13 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from quatpath import klpt, linalg, qform, quat
+from quatpath import klpt, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
 from quatpath.errors import BudgetError
 from quatpath.lattice import (
     GramForm,
     count_ellipsoid_dim2,
-    cvp_dim2,
     enumerate_by_value,
     enumerate_ellipsoid_dim2,
     lll_reduce,
@@ -182,21 +181,6 @@ def test_gauss_reduce_binary():
         assert linalg.transpose(m) == u
 
 
-def test_cvp_dim2_exact():
-    rng = random.Random(23)
-    for _ in range(150):
-        f = rand_binary(rng, spread=4)
-        g = as_gram(f)
-        t = (Fraction(rng.randrange(-40, 41), 8), Fraction(rng.randrange(-40, 41), 8))
-        got = cvp_dim2(f, t)
-        best = twice_value(g, (got[0] - t[0], got[1] - t[1]))
-        # any strictly closer point would sit inside the dual-bounded box
-        box = brute_box(g, (-t[0], -t[1]), best)
-        for x in range(-box[0], box[0] + 1):
-            for y in range(-box[1], box[1] + 1):
-                assert twice_value(g, (x - t[0], y - t[1])) >= best
-
-
 def test_count_and_enumerate_ellipsoid_dim2():
     rng = random.Random(24)
     for _ in range(100):
@@ -214,20 +198,53 @@ def test_count_ellipsoid_budget():
         count_ellipsoid_dim2(BinaryQF(1, 0, 1), (0, 0), 10**9, budget=100)
 
 
+def chi2_z(counts, draws):
+    """z-score of Pearson's chi^2 against the uniform law on the counts' keys."""
+    k = len(counts)
+    want = draws / k
+    chi2 = sum((c - want) ** 2 / want for c in counts.values())
+    return (chi2 - (k - 1)) / math.sqrt(2 * (k - 1))
+
+
+def coset_box_rows(f, shift, rho):
+    (a, b, c), _, (_, p2, d) = lattice._reduced_coset(f, shift)
+    return len(lattice._box(a, b, c, p2, d, rho)[0])
+
+
 def test_sample_ellipsoid_coset_dim2():
     f = BinaryQF(2, 1, 3)
     shift = (Fraction(1, 3), Fraction(-1, 3))
-    rho = 40
-    pts = brute_points(as_gram(f), shift, rho)
-    rng = random.Random(27)
-    counts = {p: 0 for p in pts}
-    for _ in range(3000):
-        x = sample_ellipsoid_coset_dim2(f, shift, rho, rng)
-        assert x in counts
-        counts[x] += 1
-    assert all(c > 0 for c in counts.values())
+    # rho = 40 is drawn from the stored rows, rho = 800 (34 rows, one set
+    # past the row cutoff) by accepting points of the row box
+    for rho, few in ((40, True), (800, False)):
+        assert (coset_box_rows(f, shift, rho) <= lattice._FEW_ROWS) == few
+        pts = brute_points(as_gram(f), shift, rho)
+        rng = random.Random(27)
+        counts = {p: 0 for p in pts}
+        draws = 20 * len(pts)
+        for _ in range(draws):
+            x = sample_ellipsoid_coset_dim2(f, shift, rho, rng)
+            assert x in counts
+            counts[x] += 1
+        assert all(c > 0 for c in counts.values())
+        assert abs(chi2_z(counts, draws)) < 4
     # empty coset window reports None
     assert sample_ellipsoid_coset_dim2(f, shift, 0, rng) is None
+
+
+def test_sample_ellipsoid_coset_dim2_thin():
+    # a thin ellipse: 4 rows but 5022 points, and disc4 ~ 2.4e22 dwarfs
+    # rho ~ 1.2e14, so a sampler padded by the covering radius would accept
+    # about one try in 10^7
+    f = BinaryQF(143591459, 143591459, 42600257174205)
+    shift = (Fraction(10043973, 13053769), Fraction(-20087946, 13053769))
+    rho = 118145975755924
+    assert coset_box_rows(f, shift, rho) == 4
+    assert count_ellipsoid_dim2(f, shift, rho) == 5022
+    pts = set(enumerate_ellipsoid_dim2(f, shift, rho))
+    rng = random.Random(0)
+    for _ in range(500):
+        assert sample_ellipsoid_coset_dim2(f, shift, rho, rng) in pts
 
 
 def test_sample_ellipsoid_general_rank():
