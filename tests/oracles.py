@@ -2,7 +2,7 @@
 
 import math
 
-from quatpath import lattice, qform
+from quatpath import arith, lattice, qform
 from quatpath.errors import ValidationError
 
 
@@ -33,3 +33,44 @@ def shortest_nonzero(form):
     """
     bound = min(form.m[i][i] for i in range(form.rank)) // 2
     return min(lattice.enumerate_by_value(form, bound, lower=1), key=lambda hit: hit[1])
+
+
+def hnf_with_transform(m):
+    """Row HNF (H, U) with U unimodular and U * M = H, zero rows at the bottom.
+
+    The elimination linalg.hnf runs, with every row operation also applied
+    to U, which starts as the identity; the rows of U facing zero rows of H
+    span the left kernel of M.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(row) for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    pivot_row = 0
+    for col in range(cols):
+        if pivot_row >= rows:
+            break
+        nz = [i for i in range(pivot_row, rows) if a[i][col] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        a[pivot_row], a[i0] = a[i0], a[pivot_row]
+        u[pivot_row], u[i0] = u[i0], u[pivot_row]
+        for i in range(pivot_row + 1, rows):
+            while a[i][col] != 0:
+                g, s, t = arith.xgcd(a[pivot_row][col], a[i][col])
+                p, q = a[pivot_row][col] // g, a[i][col] // g
+                for w in (a, u):
+                    w[pivot_row], w[i] = ([s * x + t * y for x, y in zip(w[pivot_row], w[i])],
+                                          [-q * x + p * y for x, y in zip(w[pivot_row], w[i])])
+        if a[pivot_row][col] < 0:
+            a[pivot_row] = [-x for x in a[pivot_row]]
+            u[pivot_row] = [-x for x in u[pivot_row]]
+        piv = a[pivot_row][col]
+        for i in range(pivot_row):
+            q = a[i][col] // piv
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
+        pivot_row += 1
+    return tuple(map(tuple, a)), tuple(map(tuple, u))

@@ -3,9 +3,10 @@
 Each expected value below was recorded once from the code as it stood and
 must never be edited to follow a change: a refactor of the binary
 reduction, the rank-2 lattice layer, the norm-equation stack, the
-quaternion layer or the rank-4 LLL and Fincke-Pohst core has to reproduce
-every one of them.  Long outputs are pinned by a digest of their
-repr, short ones literally.
+quaternion layer, the rank-4 LLL and Fincke-Pohst core, the integer
+elimination or the equivalent-ideal search has to reproduce every one
+of them.  Long outputs are pinned by a digest of their repr, short ones
+literally.
 """
 
 import hashlib
@@ -398,3 +399,81 @@ def test_enumerate_by_value_pinned():
         for lower in (1, p // 2):
             got.append((p, lower, digest(list(lattice.enumerate_by_value(g, p, lower=lower)))))
     assert got == GOLDEN_ENUMERATE
+
+
+# ---------------------------------------------------------------------------
+# integer elimination: HNF, left kernels and intersections
+
+
+def hnf_inputs():
+    """Seeded integer matrices of the shapes the package eliminates.
+
+    Rows x 4 from 4 to 16 rows (ideal bases, sums and products), the 8 x 8
+    of an intersection of two rank-4 lattices and the 10 x 4 of a line
+    selection, whose last four rows are n * I; then products of rank 2
+    and 3, whose eliminations meet zero columns and leave zero rows.
+    """
+    rng = random.Random("golden/hnf")
+    out = []
+    for rows, cols in ((4, 4), (8, 4), (12, 4), (16, 4), (8, 8), (10, 4), (3, 2)):
+        for _ in range(4):
+            out.append(tuple(tuple(rng.randrange(-40, 41) for _ in range(cols))
+                             for _ in range(rows)))
+    for _ in range(4):
+        n = rng.choice((7, 11, 61, 1009))
+        top = [tuple(rng.randrange(-40, 41) for _ in range(4)) for _ in range(6)]
+        out.append(tuple(top) + tuple(tuple(n * (i == k) for i in range(4)) for k in range(4)))
+    for rows, inner, cols in ((6, 2, 4), (8, 3, 4), (8, 3, 8)):
+        a = [[rng.randrange(-9, 10) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(inner)]
+        out.append(linalg.mat_mul(a, b))
+    return out
+
+
+def intersection_inputs():
+    """Seeded pairs of full-rank 4 x 4 bases, some sharing a sublattice."""
+    rng = random.Random("golden/intersect")
+    out = []
+    while len(out) < 12:
+        a, b = (tuple(tuple(rng.randrange(-12, 13) for _ in range(4)) for _ in range(4))
+                for _ in range(2))
+        if linalg.det_bareiss(a) and linalg.det_bareiss(b):
+            out.append((a, b))
+    return out
+
+
+GOLDEN_HNF = "f3a675e1f28496969701ce8e"
+GOLDEN_LEFT_KERNEL = "a3b31317b93107888f71f330"
+GOLDEN_INTERSECTION = "1def2abef57a5aed80c85bba"
+
+
+def test_hnf_pinned():
+    assert linalg.hnf(((6, 4), (4, 6), (2, 2))) == ((2, 0), (0, 2))
+    assert digest([linalg.hnf(m) for m in hnf_inputs()]) == GOLDEN_HNF
+
+
+def test_left_kernel_pinned():
+    # the kernel lattice is pinned, through its HNF; its basis may vary
+    got = [linalg.hnf(linalg.left_kernel(m)) for m in hnf_inputs()]
+    assert digest(got) == GOLDEN_LEFT_KERNEL
+
+
+def test_lattice_intersection_pinned():
+    got = [linalg.lattice_intersection(a, b) for a, b in intersection_inputs()]
+    assert digest(got) == GOLDEN_INTERSECTION
+
+
+# ---------------------------------------------------------------------------
+# one seeded transcript of the equivalent-ideal search
+
+GOLDEN_TRANSCRIPT = (
+    1, (1, 603), 1483, "8ce5c9531d6926f87d7d38a0b66d2df639afac1621f4c5d3fc8fe5b69ce9f5d7")
+
+
+def test_equiv_ideal_transcript_pinned():
+    o0 = quat.special_order(quat.construct_algebra(103)).order
+    ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
+                                   Factorization(((5, 20),), 1), 2, random.Random(0))
+    got = (ctx.rounds, ctx.line_select, ctx.prime_norm,
+           hashlib.sha256(ctx.output.to_json().encode()).hexdigest())
+    assert got == GOLDEN_TRANSCRIPT

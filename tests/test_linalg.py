@@ -7,6 +7,8 @@ import pytest
 
 from quatpath import linalg
 
+from oracles import hnf_with_transform
+
 
 def rand_mat(rng, r, c, lo=-9, hi=9):
     return tuple(tuple(rng.randrange(lo, hi + 1) for _ in range(c)) for _ in range(r))
@@ -65,7 +67,7 @@ def test_inverse_fraction():
         n_done += 1
         inv = linalg.inverse_fraction(m)
         prod = linalg.mat_mul(m, inv)
-        assert prod == linalg.identity(4)
+        assert prod == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     with pytest.raises(ValueError):
         linalg.inverse_fraction(((1, 2), (2, 4)))
 
@@ -116,16 +118,22 @@ def test_hnf_canonical_and_equal_lattice():
             assert row_space_mod(list(h) + [[0] * c], q) == row_space_mod(m, q)
 
 
-def test_hnf_transform_is_unimodular_witness():
+def test_hnf_and_left_kernel_match_oracle():
+    # the transform-tracking elimination of the oracle is the witness:
+    # U is unimodular with U * M = H, hnf is H without its zero rows, and
+    # the rows of U facing them span the same lattice as left_kernel
     rng = random.Random(14)
     for _ in range(150):
-        m = rand_mat(rng, 4, 4)
-        h, u = linalg.hnf_with_transform(m)
-        full = linalg.mat_mul(u, m)
-        # u*m equals h up to the dropped zero rows
-        assert list(full[: len(h)]) == list(h)
-        assert all(all(x == 0 for x in row) for row in full[len(h):])
+        r, c = rng.randrange(1, 7), rng.randrange(1, 5)
+        m = rand_mat(rng, r, c, -6, 6)
+        if rng.random() < 0.3 and r > 1:
+            m = m[:-1] + (tuple(2 * x - y for x, y in zip(m[0], m[-2])),)
+        h, u = hnf_with_transform(m)
+        assert linalg.mat_mul(u, m) == h
         assert abs(linalg.det_bareiss(u)) == 1
+        assert linalg.hnf(m) == tuple(row for row in h if any(row))
+        kern = tuple(u[i] for i in range(r) if not any(h[i]))
+        assert linalg.hnf(linalg.left_kernel(m)) == linalg.hnf(kern)
 
 
 def test_hnf_idempotent():
