@@ -1,10 +1,13 @@
 """Small exact linear algebra over Z.
 
 Matrices are tuples of tuples (rows) of ints.  All sizes here are tiny
-(rank <= 8), so clarity wins over asymptotics: HNF by gcd elimination,
-determinants by fraction-free Bareiss.  inverse_fraction, Gaussian
-elimination over Q, has no caller in the package; tests use it as an
-oracle and the benchmark traces it.
+(at most 16 rows, 14 columns), so clarity wins over asymptotics.  hnf,
+by gcd elimination, is the one integer elimination: left kernels and
+lattice intersections are read off the HNF of a block matrix (Cohen, A
+Course in Computational Algebraic Number Theory, 2.4).  Determinants
+are by fraction-free Bareiss.  inverse_fraction, Gaussian elimination
+over Q, has no caller in the package; tests use it as an oracle and
+the benchmark traces it.
 """
 
 from __future__ import annotations
@@ -14,10 +17,6 @@ from fractions import Fraction
 from .arith import xgcd
 
 Mat = tuple  # tuple of row tuples
-
-
-def identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(m: Mat) -> Mat:
@@ -33,10 +32,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 def vec_mat(v, a: Mat) -> tuple:
     return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0])))
-
-
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def det_bareiss(m: Mat) -> int:
@@ -85,18 +80,15 @@ def inverse_fraction(m: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in a)
 
 
-def hnf_with_transform(m: Mat) -> tuple[Mat, Mat]:
-    """Row Hermite normal form.
+def hnf(m: Mat) -> Mat:
+    """Row Hermite normal form, zero rows dropped.
 
-    Returns (H, U) with U unimodular, U*M = H, H in row-echelon HNF:
-    pivots positive, strictly right-moving, entries above each pivot
-    reduced into [0, pivot).  Zero rows sink to the bottom (so U stays
-    square and unimodular).
+    Pivots positive and strictly right-moving, entries above each pivot
+    reduced into [0, pivot).  Unique for the row lattice of M.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [list(row) for row in m]
-    u = [list(row) for row in identity(rows)]
     pivot_row = 0
     for col in range(cols):
         if pivot_row >= rows:
@@ -107,7 +99,6 @@ def hnf_with_transform(m: Mat) -> tuple[Mat, Mat]:
             continue
         i0 = nz[0]
         a[pivot_row], a[i0] = a[i0], a[pivot_row]
-        u[pivot_row], u[i0] = u[i0], u[pivot_row]
         for i in range(pivot_row + 1, rows):
             while a[i][col] != 0:
                 g, s, t = xgcd(a[pivot_row][col], a[i][col])
@@ -116,45 +107,39 @@ def hnf_with_transform(m: Mat) -> tuple[Mat, Mat]:
                 new_p = [s * x + t * y for x, y in zip(a[pivot_row], a[i])]
                 new_i = [-q * x + p * y for x, y in zip(a[pivot_row], a[i])]
                 a[pivot_row], a[i] = new_p, new_i
-                new_pu = [s * x + t * y for x, y in zip(u[pivot_row], u[i])]
-                new_iu = [-q * x + p * y for x, y in zip(u[pivot_row], u[i])]
-                u[pivot_row], u[i] = new_pu, new_iu
         if a[pivot_row][col] < 0:
             a[pivot_row] = [-x for x in a[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         # reduce entries above the pivot
         piv = a[pivot_row][col]
         for i in range(pivot_row):
             q = a[i][col] // piv
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], a[pivot_row])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
-    return tuple(tuple(r) for r in a), tuple(tuple(r) for r in u)
-
-
-def hnf(m: Mat) -> Mat:
-    """Row HNF with zero rows dropped."""
-    h, _ = hnf_with_transform(m)
-    return tuple(row for row in h if any(row))
+    # every row from pivot_row on was cleared in every column
+    return tuple(tuple(r) for r in a[:pivot_row])
 
 
 def left_kernel(m: Mat) -> Mat:
-    """Basis of {x in Z^rows : x * M = 0}, as rows.  Saturated."""
-    h, u = hnf_with_transform(m)
-    return tuple(u[i] for i in range(len(h)) if not any(h[i]))
+    """HNF basis of {x in Z^rows : x * M = 0}, as rows.  Saturated.
+
+    The rows of hnf([M | I]) span {(x*M, x)}; those with zero M-part
+    come last and span its vectors (0, x) with x*M = 0.
+    """
+    c = len(m[0]) if m else 0
+    n = len(m)
+    h = hnf(tuple(tuple(row) + tuple(int(i == j) for j in range(n)) for i, row in enumerate(m)))
+    return tuple(row[c:] for row in h if not any(row[:c]))
 
 
 def lattice_intersection(b1: Mat, b2: Mat) -> Mat:
-    """Intersection of two full-rank row lattices in the same Z^n.
+    """HNF basis of the intersection of two row lattices in the same Z^n.
 
-    Rows generate; output is the HNF basis of the intersection.
+    The rows of [[b1, b1], [b2, 0]] span {(x*b1 + y*b2, x*b1)}; the HNF
+    rows with zero first half come last, and their second halves are
+    the HNF of the intersection.
     """
-    neg2 = mat_neg(b2)
-    stacked = tuple(b1) + tuple(neg2)
-    kern = left_kernel(stacked)
-    n1 = len(b1)
-    vecs = [vec_mat(k[:n1], b1) for k in kern]
-    if not vecs:
-        return ()
-    return hnf(tuple(vecs))
+    n = len(b1[0])
+    zero = (0,) * n
+    h = hnf(tuple(tuple(r) + tuple(r) for r in b1) + tuple(tuple(r) + zero for r in b2))
+    return tuple(row[n:] for row in h if not any(row[:n]))
