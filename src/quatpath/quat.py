@@ -406,7 +406,9 @@ class SpecialOrder:
         return (one * s + om * t) + (one * x + om * y) * jj
 
 
+@functools.lru_cache(maxsize=16)
 def special_order(alg: QuatAlgebra) -> SpecialOrder:
+    """The special order of the algebra, built and checked once per algebra."""
     p, q = alg.p, alg.q
     half = Fraction(1, 2)
     if p % 4 == 3:

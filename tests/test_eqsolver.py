@@ -642,6 +642,27 @@ def test_represent_builds_no_gramform(monkeypatch):
     assert calls == []
 
 
+def test_represent_builds_no_new_special_order(monkeypatch):
+    # the special order and its maximality check are built once per
+    # algebra, not once per norm target
+    builds = []
+
+    class CountingSpecialOrder(quat.SpecialOrder):
+        def __init__(self, *args):
+            builds.append(args[0])
+            super().__init__(*args)
+
+    alg = quat.construct_algebra(103)
+    rng = random.Random(13)
+    n = arith.next_prime(37 * 103 * 103)
+    assert represent_in_O0(alg, n, rng).nrd() == n
+    monkeypatch.setattr(quat, "SpecialOrder", CountingSpecialOrder)
+    for _ in range(3):
+        n = arith.next_prime(n)
+        assert represent_in_O0(quat.construct_algebra(103), n, rng).nrd() == n
+    assert builds == []
+
+
 def run_under_python_O(patch, call):
     """Run one call under python -O after a monkeypatch; the finished process."""
     code = (
