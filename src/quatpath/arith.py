@@ -1,8 +1,9 @@
 """Exact integer and residue arithmetic primitives.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic unless an rng is passed in.  No floats anywhere: callers
-rely on exact answers.
+deterministic: the random rounds of is_prime and of Pollard rho draw
+from an rng seeded by n.  No floats anywhere: callers rely on exact
+answers.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "Factorization",
     "factor_bounded",
     "factor_completely",
-    "primes_up_to",
 ]
 
 # Deterministic Miller-Rabin witness set.  Sufficient for all n < 3.3 * 10^24
@@ -48,7 +48,7 @@ def _mr_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test.
 
     Deterministic below the Sorenson-Webster bound (far beyond 2^64),
@@ -69,7 +69,7 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
     if n < _DETERMINISTIC_BOUND:
         witnesses = [a for a in _MR_WITNESSES if a < n]
     else:
-        rng = rng or random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))
+        rng = random.Random(0xC0FFEE ^ (n & 0xFFFFFFFF))
         witnesses = [rng.randrange(2, n - 1) for _ in range(64)]
     return all(_mr_round(n, a, d, s) for a in witnesses)
 
@@ -328,20 +328,15 @@ def _pollard_rho(n: int, budget: int, rng: random.Random) -> int | None:
     return None
 
 
-def factor_bounded(
-    n: int,
-    bound: int = 10**6,
-    rho_budget: int = 10**7,
-    rng: random.Random | None = None,
-) -> Factorization:
-    """Factor n by trial division up to `bound`, then Pollard rho.
+def factor_bounded(n: int) -> Factorization:
+    """Factor n by trial division up to 10^6, then Pollard rho.
 
-    Never fails: whatever resists the rho budget lands in the cofactor.
+    Never fails: whatever resists 10^7 rho steps lands in the cofactor.
     The invariant prod(p^e) * cofactor == n always holds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = rng or random.Random(0x5EED ^ (n & 0xFFFFFFFF))
+    rng = random.Random(0x5EED ^ (n & 0xFFFFFFFF))
     found: dict[int, int] = {}
     rem = n
     for p in (2, 3, 5):
@@ -351,13 +346,13 @@ def factor_bounded(
     # wheel over 6k +- 1
     d = 7
     step = 4
-    while d <= bound and d * d <= rem:
+    while d <= 10**6 and d * d <= rem:
         while rem % d == 0:
             found[d] = found.get(d, 0) + 1
             rem //= d
         d += step
         step = 6 - step
-    if rem > 1 and (rem < bound * bound or is_prime(rem)):
+    if rem > 1 and (rem < 10**12 or is_prime(rem)):
         # trial division proved rem prime, or a direct test did
         found[rem] = found.get(rem, 0) + 1
         rem = 1
@@ -371,7 +366,7 @@ def factor_bounded(
         if is_prime(m):
             found[m] = found.get(m, 0) + 1
             continue
-        g = _pollard_rho(m, rho_budget, rng)
+        g = _pollard_rho(m, 10**7, rng)
         if g is None:
             cofactor *= m
             continue
@@ -380,21 +375,10 @@ def factor_bounded(
     return Factorization.from_dict(found, cofactor)
 
 
-def factor_completely(n: int, rho_budget: int = 10**7) -> Factorization:
+def factor_completely(n: int) -> Factorization:
     """Full factorization; raises if the rho budget is exhausted."""
-    f = factor_bounded(n, bound=10**6, rho_budget=rho_budget)
+    f = factor_bounded(n)
     if not f.complete:
         raise ValueError(f"could not fully factor {n} within budget")
     return f
 
-
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by sieve."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, n + 1) if sieve[i]]

@@ -338,28 +338,13 @@ class ClassGroup:
     def inverse_index(self, i: int) -> int:
         return self._index[reduce_form(self.forms[i].opposite())[0]]
 
-    def order_of(self, i: int) -> int:
-        k, cur = 1, i
-        while cur != self.identity_index:
-            cur = self.compose_indices(cur, i)
-            k += 1
-        return k
-
-    def composition_table(self) -> tuple:
-        return tuple(
-            tuple(self.compose_indices(i, j) for j in range(self.h))
-            for i in range(self.h)
-        )
-
-    def same_genus(self, i: int, j: int) -> bool:
-        return self.genus_ids[i] == self.genus_ids[j]
 
 
-def class_group(D: int, bound: int = 10**7) -> ClassGroup:
-    """Enumerate all reduced primitive forms of discriminant D."""
+def class_group(D: int) -> ClassGroup:
+    """Enumerate all reduced primitive forms of discriminant D, |D| <= 10^7."""
     _check_disc(D)
-    if abs(D) > bound:
-        raise BudgetError(f"|D| = {abs(D)} over the enumeration bound {bound}")
+    if abs(D) > 10**7:
+        raise BudgetError(f"|D| = {abs(D)} over the enumeration bound {10**7}")
     forms = []
     amax = math.isqrt(abs(D) // 3)
     for a in range(1, amax + 1):

@@ -177,9 +177,3 @@ def test_factorization_from_dict():
     g = arith.Factorization.from_dict({2: 1}, cofactor=77)
     assert not g.complete
     assert g.value() == 154
-
-
-def test_primes_up_to():
-    flags = sieve(10000)
-    assert arith.primes_up_to(10000) == [p for p in range(10001) if flags[p]]
-    assert arith.primes_up_to(1) == []
