@@ -138,6 +138,19 @@ def test_search_success_rate_at_1009():
     assert 1 in wins and len(wins) >= 3, outcomes
 
 
+def test_disc_f_obstruction_has_its_own_reason():
+    # at p = 103 (f = x^2 + y^2) one of seed 7's rounds builds a master
+    # instance that keeps no residue mod |disc f| = 4; that is not a
+    # "local obstruction" at det(gamma).  Filing it apart moves no rng
+    # draw: the search still ends in round 3
+    o0 = quat.special_order(quat.construct_algebra(103)).order
+    ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
+                                   Factorization(((5, 20),), 1), 2, random.Random(7))
+    assert ctx.rounds == 3
+    assert ctx.failures == {"line pairing fixed point": 1,
+                            "no admissible residue mod disc(f)": 1}
+
+
 @pytest.mark.parametrize("p", [103, 101, 97])
 def test_powersmooth_equiv(p):
     bound = 2**10
