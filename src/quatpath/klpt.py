@@ -388,9 +388,9 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
             so.f, g, p, target, det_fac=Factorization(((n, 1),), 1)
         )
         if not inst.u_residues:
-            # _extra_exponent settles solvability mod n only; the
-            # conditions mod |disc f| can still fail (for f = x^2 + y^2,
-            # a target n2*ell^e = 3 mod 4)
+            # _extra_exponent settles solvability mod n only; mod |disc f|
+            # the instance can still keep no residue (p = 3 mod 4 with
+            # n2 = 1 mod 4 and e = 1)
             raise _RoundRetry("no admissible residue mod disc(f)")
         s, t, x, y = eqsolver.solve_master(inst, rng)
     except ValidationError:

@@ -339,12 +339,11 @@ class ClassGroup:
         return self._index[reduce_form(self.forms[i].opposite())[0]]
 
 
-
 def class_group(D: int) -> ClassGroup:
     """Enumerate all reduced primitive forms of discriminant D, |D| <= 10^7."""
     _check_disc(D)
     if abs(D) > 10**7:
-        raise BudgetError(f"|D| = {abs(D)} over the enumeration bound {10**7}")
+        raise BudgetError(f"|D| = {abs(D)} over the enumeration bound 10^7")
     forms = []
     amax = math.isqrt(abs(D) // 3)
     for a in range(1, amax + 1):
