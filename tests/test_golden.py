@@ -52,6 +52,30 @@ def test_represent_in_O0_pinned():
     ]
 
 
+# solve_master with gamma = 1 where disc g has several classes, so the
+# right-hand layer draws non-principal classes: disc g = -34983 has 72,
+# and a drawn class fails the window fit at n = 100000007 (seeds 0 and
+# 2-4) and at n = 100003 (every seed); disc g = -180 has 4.
+MASTER_CASES = [((2, 1, 3), 1, 100000007), ((2, 1, 3), 1, 100003), ((2, 2, 3), 1, 99991)]
+
+GOLDEN_MASTER = [
+    [(996, 4125, -2990, -2430), (-4476, -2277, 1066, -3444), (168, 3243, 4355, -3966),
+     (-1632, 4059, -4303, 3054), (4004, -1651, -3263, 4458), (1428, 3483, 1118, -4356)],
+    [(104, -169, 71, -26), (104, -169, 71, -26), (104, -169, -71, 26),
+     (15, 27, 214, -91), (104, -169, -58, -26), (15, 27, -214, 91)],
+    [(7, -13, 212, 20), (-142, -77, -106, 56), (146, -41, 172, -128),
+     (-56, -139, -110, 34), (155, -131, -154, 74), (146, -41, -68, 160)],
+]
+
+
+def test_solve_master_multi_class_pinned():
+    got = []
+    for f, b, n in MASTER_CASES:
+        inst = eqsolver.equation_instance(BinaryQF(*f), ((1, 0), (0, 1)), b, n)
+        got.append([eqsolver.solve_master(inst, random.Random(seed)) for seed in range(6)])
+    assert got == GOLDEN_MASTER
+
+
 # ---------------------------------------------------------------------------
 # the coset sampler on the skew forms sample_az_plus_bg builds
 
