@@ -332,17 +332,10 @@ def equation_instance(f, gamma, b, n, det_fac=None):
         raise ValidationError("det_fac must be a complete factorization")
 
     g_gamma = f.transform(gamma)
-    cgf = qform.class_group(f.disc)
-
-    if cgf.h == 1:
-        b0, rho = 1, _ID2
-        left = ((1, (1, 0)),)
-    else:
-        m0 = 2 * n * b * abs(g_gamma.disc)
-        cgf, left = _class_divisor_table(f.disc, m0)
-        primes = [d for d, _ in left if d > 1]
-        b0 = math.prod(primes)
-        rho = _craft_left_transform(g_gamma, gamma, b0, primes, b, n)
+    cgf, left = _class_divisor_table(f.disc, 2 * n * b * abs(g_gamma.disc))
+    primes = [d for d, _ in left if d > 1]
+    b0 = math.prod(primes)
+    rho = _craft_left_transform(g_gamma, gamma, b0, primes, b, n)
 
     a = (b0 * adet) ** 2
     afac = {r: 2 for r, _ in left if r > 1}
@@ -492,34 +485,35 @@ def solve_master(inst, rng):
     # ahead of time; matching a single pre-drawn u would reject the same
     # solutions chi_mod times slower
     uset = frozenset(inst.u_residues)
+    # each class drawn resolves once per call to (k, d, wit, h); a class
+    # whose b*d^2*h.a does not fit under n - a resolves to the principal
+    # entry, which is seeded so the principal class never composes
+    fallback = (principal, 1, (1, 0), g_red)
+    resolved = {principal: fallback}
     # past GENUS_ENUM_DISC_BOUND there is no per-class table to draw a
-    # class from, so every attempt uses the principal class with d = 1,
-    # the same h and the same few cosets; a short budget covers them fully
+    # class from, so every attempt uses the principal entry, the same h
+    # and the same few cosets; a short budget covers them fully
     stuck = abs(dg) > GENUS_ENUM_DISC_BOUND
     max_attempts = MASTER_STUCK_ATTEMPTS if stuck else MASTER_MAX_ATTEMPTS
     for attempt in range(1, max_attempts + 1):
-        fell_back = False
         if stuck:
-            stats["divisor_infeasible"] += 1
-            k_form, d, wit, h = principal, 1, (1, 0), g_red
-            fell_back = True
+            k_form, d, wit, h = fallback
         else:
-            k_form, d, wit = genus_randomizer_B(dg, m_b, rng)
-            k_inv = qform.reduce_form(k_form.opposite())[0]
-            h = qform.compose(qform.compose(k_inv, k_inv), g_red)
-            if inst.b * d * d * h.a > budget:
-                # sampled divisor cannot fit the window at this n; fall
-                # back to the principal class so the attempt still has a
-                # chance
+            cls, d, wit = genus_randomizer_B(dg, m_b, rng)
+            if cls not in resolved:
+                k_inv = qform.reduce_form(cls.opposite())[0]
+                h = qform.compose(qform.compose(k_inv, k_inv), g_red)
+                fits = inst.b * d * d * h.a <= budget
+                resolved[cls] = (cls, d, wit, h) if fits else fallback
+            k_form, d, wit, h = resolved[cls]
+            if k_form != cls:
                 stats["divisor_infeasible"] += 1
-                k_form, d, wit, h = principal, 1, (1, 0), g_red
-                fell_back = True
         try:
             res = sample_az_plus_bg(inst.a, inst.b * d * d, inst.n, h,
                                     inst.a_fac, rng)
         except BudgetError:
             stats["empty_window"] += 1
-            if fell_back and stuck:
+            if stuck:
                 # the fallback window is identical on every attempt here;
                 # empty once means empty forever
                 raise BudgetError(

@@ -379,6 +379,49 @@ def test_master_nontrivial_gamma():
         check_master(inst, rng)
 
 
+def count_master_work(monkeypatch, run):
+    """Attempts, classes drawn and forms composed by solve_master itself
+    (not by the lift after the last attempt) during run()."""
+    attempts, drawn, composed = [], set(), []
+    sample, draw, compose = sample_az_plus_bg, genus_randomizer_B, qform.compose
+
+    def counting_sample(*args):
+        attempts.append(args)
+        return sample(*args)
+
+    def counting_draw(*args):
+        out = draw(*args)
+        drawn.add(out[0])
+        return out
+
+    def counting_compose(f1, f2):
+        if sys._getframe(1).f_code is solve_master.__code__:
+            composed.append((f1, f2))
+        return compose(f1, f2)
+
+    monkeypatch.setattr(eqsolver, "sample_az_plus_bg", counting_sample)
+    monkeypatch.setattr(eqsolver, "genus_randomizer_B", counting_draw)
+    monkeypatch.setattr(qform, "compose", counting_compose)
+    run()
+    return len(attempts), drawn, len(composed)
+
+
+def test_master_composes_once_per_class_drawn(monkeypatch):
+    # disc g = -4 has one class: the principal entry is seeded, so no
+    # attempt composes
+    alg = quat.construct_algebra(103)
+    attempts, drawn, composed = count_master_work(
+        monkeypatch, lambda: represent_in_O0(alg, 1000037, random.Random(0)))
+    assert attempts >= 20 and len(drawn) == 1 and composed == 0
+    # disc g = -34983 has 72 classes: h = [k^-2 g] is composed the first
+    # time a class is drawn, never again
+    inst = equation_instance(qform.BinaryQF(2, 1, 3), ID2, 1, 100000007)
+    attempts, drawn, composed = count_master_work(
+        monkeypatch, lambda: check_master(inst, random.Random(3)))
+    assert len(drawn) < attempts
+    assert composed <= 2 * len(drawn)
+
+
 def test_master_local_obstruction_no_admissible_u():
     # disc -4 has a single candidate residue u = 1; kronecker(-4, 3) = -1
     # kills it when (n - a) * b^{-1} = 3 mod 4, i.e. n = 2 mod 4 for b = 103
@@ -403,6 +446,18 @@ def test_master_local_obstruction_at_det():
     inst = equation_instance(f, ((3, 1), (1, 2)), 103, 10**7 + 9)
     with pytest.raises(ValidationError):
         solve_master(inst, random.Random(14))
+
+
+def test_master_stuck_budget_reports_no_drawn_class():
+    # |disc g| = 4 * 227^2 is past the class table bound: no class is
+    # drawn, so none can have failed the window fit
+    f = qform.BinaryQF(1, 0, 1)
+    inst = equation_instance(f, ((1, 0), (0, 227)), 103, 10000433)
+    assert abs(inst.g.disc) > eqsolver.GENUS_ENUM_DISC_BOUND
+    with pytest.raises(BudgetError, match="within 200 attempts") as err:
+        solve_master(inst, random.Random(0))
+    assert "'divisor_infeasible': 0" in str(err.value)
+    assert "'z_composite': 200" in str(err.value)
 
 
 def image_basis(gamma, mod):
