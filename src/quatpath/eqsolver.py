@@ -255,7 +255,7 @@ class EquationInstance:
     left_table: tuple
 
 
-def _craft_left_transform(g_gamma, gamma, b0, primes, b, n):
+def _craft_left_transform(g_gamma, b0, primes, b, n):
     """rho with det(rho) = b0, content 1, rank 1 mod each prime r of b0,
     its image line chosen so b*(g_gamma o rho) = n stays solvable mod r^2.
 
@@ -266,7 +266,6 @@ def _craft_left_transform(g_gamma, gamma, b0, primes, b, n):
     """
     if b0 == 1:
         return _ID2
-    det = _det2(gamma)
     residues = []
     for r in primes:
         want = arith.kronecker((n * arith.inv_mod(b, r)) % r, r)
@@ -280,11 +279,7 @@ def _craft_left_transform(g_gamma, gamma, b0, primes, b, n):
             if vec:
                 break
         assert vec is not None
-        di = arith.inv_mod(det % r, r)
-        residues.append((
-            di * (gamma[1][1] * vec[0] - gamma[0][1] * vec[1]) % r,
-            di * (gamma[0][0] * vec[1] - gamma[1][0] * vec[0]) % r,
-        ))
+        residues.append(vec)
     xs = arith.crt([v[0] for v in residues], list(primes))[0]
     ys = arith.crt([v[1] for v in residues], list(primes))[0]
     for k1 in range(64):
@@ -335,7 +330,7 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     cgf, left = _class_divisor_table(f.disc, 2 * n * b * abs(g_gamma.disc))
     primes = [d for d, _ in left if d > 1]
     b0 = math.prod(primes)
-    rho = _craft_left_transform(g_gamma, gamma, b0, primes, b, n)
+    rho = _craft_left_transform(g_gamma, b0, primes, b, n)
 
     a = (b0 * adet) ** 2
     afac = {r: 2 for r, _ in left if r > 1}

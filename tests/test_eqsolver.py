@@ -255,6 +255,35 @@ def test_instance_derived_fields():
         assert arith.kronecker(-23, w) != -1
 
 
+def test_left_transform_aims_at_g_gamma():
+    # mod each prime r of b0, g = g_gamma o rho collapses to g_gamma(v)*L^2
+    # for v the image of rho, so v itself must carry the aim: g_gamma(v)
+    # nonzero and n/(b*g_gamma(v)) a square mod r.  Aimed anywhere else,
+    # g_gamma(v) can vanish mod r and g loses primitivity.
+    f = qform.BinaryQF(2, 1, 3)  # disc -23, h = 3
+    built = 0
+    for gamma, b in ((((1, 0), (0, 5)), 7), (((3, 1), (1, 2)), 7), (((1, 2), (0, 7)), 11)):
+        for n in range(10**9 + 1, 10**9 + 201, 2):
+            try:
+                inst = equation_instance(f, gamma, b, n)
+            except ValidationError:
+                continue
+            built += 1
+            assert inst.g.is_primitive, (gamma, b, n, inst.g)
+            v = (inst.rho[0][1], inst.rho[1][1])
+            for r in (d for d, _ in inst.left_table if d > 1):
+                lam = inst.g_gamma.value(*v) % r
+                assert lam and arith.kronecker(n * arith.inv_mod(b * lam, r), r) == 1
+    assert built > 200
+
+
+def test_master_nontrivial_gamma_with_left_transform():
+    # the instance whose g had content 3 while rho aimed through gamma^-1
+    inst = equation_instance(qform.BinaryQF(2, 1, 3), ((1, 0), (0, 5)), 7, 10**9 + 9)
+    assert inst.b0 > 1 and inst.g.is_primitive
+    check_master(inst, random.Random(0))
+
+
 # ---------------------------------------------------------------------------
 # lift_genus_solution
 
