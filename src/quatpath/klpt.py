@@ -373,7 +373,9 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
     prime_ideal, wit, n = pick
     try:
         norm_rep = eqsolver.represent_in_O0(alg, n, rng)
-    except (ValidationError, BudgetError):
+    except ValidationError:
+        raise _RoundRetry("prime norm has no local solution") from None
+    except BudgetError:
         raise _RoundRetry("prime norm not represented") from None
     line = _line_select(so, prime_ideal, n, norm_rep)
     if line is None:

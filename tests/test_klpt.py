@@ -6,12 +6,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import quatpath
-from quatpath import arith, klpt, quat
+from quatpath import arith, eqsolver, klpt, quat
 from quatpath.arith import Factorization
 from quatpath.errors import BudgetError, ValidationError
 
@@ -149,6 +150,42 @@ def test_disc_f_obstruction_has_its_own_reason():
     assert ctx.rounds == 3
     assert ctx.failures == {"line pairing fixed point": 1,
                             "no admissible residue mod disc(f)": 1}
+
+
+def search_with_failing_norm_rep(monkeypatch, error):
+    """The p = 103 transcript search with its first represent_in_O0 call
+    raising error; every later call is the real one."""
+    represent = eqsolver.represent_in_O0
+    calls = []
+
+    def failing_once(alg, n, rng):
+        calls.append(n)
+        if len(calls) == 1:
+            raise error("injected")
+        return represent(alg, n, rng)
+
+    monkeypatch.setattr(eqsolver, "represent_in_O0", failing_once)
+    o0 = quat.special_order(quat.construct_algebra(103)).order
+    ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
+                                   Factorization(((5, 20),), 1), 2, random.Random(0))
+    monkeypatch.undo()
+    return ctx
+
+
+def test_norm_rep_failure_has_its_own_reason(monkeypatch):
+    # a prime norm represent_in_O0 rejects as locally unsolvable is not one
+    # it gave up on; both fail before drawing, so the searches differ only
+    # in the reason filed for that round
+    unsolvable = search_with_failing_norm_rep(monkeypatch, ValidationError)
+    gave_up = search_with_failing_norm_rep(monkeypatch, BudgetError)
+    assert unsolvable.failures["prime norm has no local solution"] == 1
+    assert "prime norm has no local solution" not in gave_up.failures
+    moved = Counter(unsolvable.failures)
+    moved["prime norm has no local solution"] -= 1
+    moved["prime norm not represented"] += 1
+    assert +moved == Counter(gave_up.failures)
+    assert unsolvable.rounds == gave_up.rounds
+    assert unsolvable.output == gave_up.output
 
 
 @pytest.mark.parametrize("p", [103, 101, 97])
