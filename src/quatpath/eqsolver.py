@@ -445,7 +445,8 @@ def lift_genus_solution(inst, sol):
 
     x, y = qform._apply(inst.rho, (xp, yp))
     det2 = _det2(inst.gamma) ** 2
-    assert det2 * inst.f.value(s, t) + inst.b * inst.g_gamma.value(x, y) == inst.n
+    quat._ensure(det2 * inst.f.value(s, t) + inst.b * inst.g_gamma.value(x, y) == inst.n,
+                 "det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n")
     return s, t, x, y
 
 
