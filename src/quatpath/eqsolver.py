@@ -9,10 +9,13 @@ pulled back to the target form f by Gauss composition: a right-hand layer
 that moves g around its genus (trading a divisor d of the helper bound B
 for a d^2 scaling), and a left-hand layer that replaces f(s,t) by
 det(rho)^2 * z for a crafted transform rho whose determinant every class
-of disc(f) can reach.  Both layers draw from exact per-class divisor
-tables; past GENUS_ENUM_DISC_BOUND no table is built for disc(g), and the
-right-hand layer stays at the principal class.  represent_in_O0 feeds the
-special order's norm form through the same pipeline.
+of disc(f) can reach.  Both layers read exact per-class divisor tables.
+The left layer takes one path for every class number: at h(f) = 1 its
+table makes rho the identity.  The right layer resolves each class once
+per solve_master call, and never composes for the principal class; past
+GENUS_ENUM_DISC_BOUND no table is built for disc(g), and it stays at the
+principal class.  represent_in_O0 feeds the special order's norm form
+through the same pipeline.
 
 Local solvability at each prime r of det(gamma) is one Legendre symbol on
 the value of f at the image line of gamma mod r; mod |disc f| it is read
@@ -260,26 +263,17 @@ def _craft_left_transform(g_gamma, b0, primes, b, n):
     its image line chosen so b*(g_gamma o rho) = n stays solvable mod r^2.
 
     Mod r the composed form collapses to lambda(w)^2 * g_gamma(v_r), so it
-    is enough to aim the image v_r at a value of g_gamma in the same
-    square class as n/b mod r.  Nondegenerate binary forms over F_r take
-    every nonzero class, so the aim always exists.
+    is enough to aim the image v_r itself at a value of g_gamma in the
+    same square class as n/b mod r.  Nondegenerate binary forms over F_r
+    take every nonzero class, so the aim always exists.
     """
     if b0 == 1:
         return _ID2
     residues = []
     for r in primes:
         want = arith.kronecker((n * arith.inv_mod(b, r)) % r, r)
-        vec = None
-        for x in range(r):
-            for y in range(r):
-                val = g_gamma.value(x, y) % r
-                if val and arith.kronecker(val, r) == want:
-                    vec = (x, y)
-                    break
-            if vec:
-                break
-        assert vec is not None
-        residues.append(vec)
+        residues.append(next((x, y) for x in range(r) for y in range(r)
+                             if arith.kronecker(g_gamma.value(x, y), r) == want))
     xs = arith.crt([v[0] for v in residues], list(primes))[0]
     ys = arith.crt([v[1] for v in residues], list(primes))[0]
     for k1 in range(64):
@@ -333,7 +327,7 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     rho = _craft_left_transform(g_gamma, b0, primes, b, n)
 
     a = (b0 * adet) ** 2
-    afac = {r: 2 for r, _ in left if r > 1}
+    afac = {r: 2 for r in primes}
     for r, k in det_fac.factors:
         afac[r] = afac.get(r, 0) + 2 * k
     a_fac = Factorization.from_dict(afac)
@@ -456,8 +450,10 @@ def solve_master(inst, rng):
 
     Loop: draw a class k and divisor d for disc(g), move g to
     h = [k^-2 g], sample a*z + (b*d^2)*h(x1,y1) = n, keep z prime with
-    z = u mod |disc f|, compose back to g, lift to f.  Raises
-    ValidationError on a local obstruction and BudgetError when the
+    z = u mod |disc f|, compose back to g, lift to f.  h and the window
+    fit b*d^2*h.a <= n - a are resolved once per class drawn; a class that
+    does not fit falls back to the principal class, d = 1 and h = g reduced.
+    Raises ValidationError on a local obstruction and BudgetError when the
     attempt budget runs out.
     """
     _check_local_at_det(inst)
@@ -481,9 +477,9 @@ def solve_master(inst, rng):
     # ahead of time; matching a single pre-drawn u would reject the same
     # solutions chi_mod times slower
     uset = frozenset(inst.u_residues)
-    # each class drawn resolves once per call to (k, d, wit, h); a class
-    # whose b*d^2*h.a does not fit under n - a resolves to the principal
-    # entry, which is seeded so the principal class never composes
+    # class drawn -> (k, d, wit, h); the principal entry is seeded, so the
+    # principal class never composes, and a class that does not fit the
+    # window resolves to it (then k != the class drawn)
     fallback = (principal, 1, (1, 0), g_red)
     resolved = {principal: fallback}
     # past GENUS_ENUM_DISC_BOUND there is no per-class table to draw a

@@ -1,6 +1,7 @@
 """Every name a module lists in __all__ must exist, so a deleted function
 cannot linger in an export list; every name the benchmark traces must
-exist, so a rename cannot break a traced run."""
+exist, so a rename cannot break a traced run; every console script
+pyproject declares must resolve, so an install creates no broken command."""
 
 import functools
 import importlib
@@ -8,7 +9,11 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import quatpath
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -23,7 +28,7 @@ def test_every_exported_name_resolves():
 
 def test_every_traced_name_resolves():
     # perfbench/spans.py imports only the standard library
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -33,3 +38,13 @@ def test_every_traced_name_resolves():
         # raises AttributeError naming the missing attribute
         functools.reduce(getattr, attr.split("."), module)
     assert specs
+
+
+def test_every_declared_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for name, target in project.get("scripts", {}).items():
+        mod_name, _, attr = target.partition(":")
+        # raises ModuleNotFoundError naming the missing module
+        module = importlib.import_module(mod_name)
+        assert callable(functools.reduce(getattr, attr.split("."), module)), name
