@@ -788,19 +788,14 @@ def test_sampler_postcondition_holds_under_python_O():
 
 
 def test_lift_postcondition_holds_under_python_O():
-    # nor a lift whose compositions hand back wrong coordinates
-    f = qform.BinaryQF(1, 0, 1)
-    n = 1000033
-    inst = equation_instance(f, ID2, 103, n)
-    sol = next((n - 103 * inst.g.value(x, y), x, y)
-               for x in range(40) for y in range(40)
-               if arith.is_prime(n - 103 * inst.g.value(x, y)))
+    # nor a lift whose compositions hand back wrong coordinates; 1000033 is
+    # a prime 1 mod 4, so (1000033, 0, 0) is a valid triple
     run = run_under_python_O(
         "cwc = qform.compose_with_coords\n"
         "qform.compose_with_coords = lambda *args: "
         "(lambda form, w: (form, (w[0] + 1, w[1])))(*cwc(*args))",
-        "eqsolver.lift_genus_solution(eqsolver.equation_instance("
-        f"qform.BinaryQF(1, 0, 1), ((1, 0), (0, 1)), 103, {n}), {sol})",
+        "eqsolver.lift_genus_solution(eqsolver.equation_instance(qform.BinaryQF(1, 0, 1), "
+        "((1, 0), (0, 1)), 103, 1000033), (1000033, 0, 0))",
     )
     assert run.returncode != 0
     assert "postcondition failed: det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n" in run.stderr
