@@ -330,12 +330,43 @@ def test_quat_ideals_pinned():
     assert got == GOLDEN_QUAT
 
 
+# (p, ell, class number, digest of the representatives); p = 13, 17, 19, 23
+# cover p = 1, 5, 7, 11 mod 12
+GOLDEN_CLASSES = [
+    (37, 2, 3, "de0d8dce8136b16c20caca25"),
+    (13, 2, 1, "90835e8428e9753d69972f0a"),
+    (13, 3, 1, "90835e8428e9753d69972f0a"),
+    (17, 2, 2, "bae181e435981a8a54668fa7"),
+    (17, 3, 2, "87c99c7298f9abd6a35b92cb"),
+    (19, 2, 2, "1c45bcf52845545fdad9abbd"),
+    (19, 3, 2, "71ffc84b8aca4efa4e38d698"),
+    (23, 2, 3, "5bf5ea7bf921f927f896ca42"),
+    (23, 3, 3, "971a7b32db9316ee42f44af9"),
+]
+
+
 def test_class_representatives_pinned():
-    o0 = quat.special_order(quat.construct_algebra(37)).order
-    reps = klpt.ideal_class_representatives(o0, 2)
-    joined = "\n".join(r.to_json() for r in reps)
-    assert len(reps) == 3
-    assert hashlib.sha256(joined.encode()).hexdigest()[:24] == "de0d8dce8136b16c20caca25"
+    got = []
+    for p, ell, _, _ in GOLDEN_CLASSES:
+        o0 = quat.special_order(quat.construct_algebra(p)).order
+        reps = klpt.ideal_class_representatives(o0, ell)
+        joined = "\n".join(r.to_json() for r in reps)
+        got.append((p, ell, len(reps), hashlib.sha256(joined.encode()).hexdigest()[:24]))
+    assert got == GOLDEN_CLASSES
+
+
+def test_ell_neighbors_pinned():
+    # from O0 and from a walked ideal of norm 5 * 7, one prime per class
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    got = []
+    for p in (103, 101, 97):
+        o0 = quat.special_order(quat.construct_algebra(p)).order
+        walked = klpt.random_walk(o0, spec, random.Random(f"golden/neighbors/{p}"))
+        for start in (o0, walked):
+            for ell in (2, 3):
+                nbs = klpt.ell_neighbors(start, ell)
+                got.append((p, ell, "\n".join(nb.to_json() for nb in nbs)))
+    assert digest(got) == "5b895b564d32272302780326"
 
 
 # ---------------------------------------------------------------------------
