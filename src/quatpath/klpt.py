@@ -87,17 +87,19 @@ def _step_lattice(order, ideal, w, ell):
 
 
 def _neighbor_lattices(order, ideal, ell):
-    """All distinct neighbors, sorted canonically.  No preconditions."""
-    out, seen = [], set()
+    """All distinct neighbors, sorted canonically.
+
+    order must be the left order of ideal and maximal.  Then every
+    rank-one w spans a neighbor of index ell^2 in ideal, so a w inside a
+    neighbor found already spans that very neighbor and is skipped: one
+    lattice is built per neighbor.
+    """
+    out = []
     for coeffs in itertools.product(range(ell), repeat=4):
         w = _rank_one_in_quotient(ideal, ell, coeffs)
-        if w is None:
+        if w is None or any(nb.contains(w) for nb in out):
             continue
-        nb = _step_lattice(order, ideal, w, ell)
-        key = (nb.den, nb.mat)
-        if key not in seen:
-            seen.add(key)
-            out.append(nb)
+        out.append(_step_lattice(order, ideal, w, ell))
     out.sort(key=lambda lat: (lat.den, lat.mat))
     return out
 
@@ -107,8 +109,10 @@ def ell_neighbors(ideal, ell):
     scaled by ell and index ell^2, each again a left ideal of the same
     left order.
 
-    Enumerates rank-one classes of the quotient mod ell, so the cost
-    grows like ell^4; fine for the walk primes this package targets.
+    Scans the ell^4 coefficient vectors of the quotient mod ell for
+    rank-one elements, but builds only the ell + 1 neighbor lattices;
+    fine for the walk primes this package targets.  The left order of
+    the ideal must be maximal.
     """
     if not arith.is_prime(ell):
         raise ValidationError("ell must be prime")
@@ -117,11 +121,13 @@ def ell_neighbors(ideal, ell):
     if ideal.nrd.denominator == 1 and ideal.nrd.numerator % ell == 0:
         raise ValidationError("ell must not divide the norm of the ideal")
     order = quat.left_order(ideal)
+    if not order.is_maximal_order():
+        raise ValidationError("the left order of the ideal must be maximal")
     out = _neighbor_lattices(order, ideal, ell)
-    assert len(out) == ell + 1
+    quat._ensure(len(out) == ell + 1, "ell + 1 neighbors")
     for nb in out:
-        assert nb.nrd == ideal.nrd * ell
-        assert nb.is_sublattice_of(ideal)
+        quat._ensure(nb.nrd == ideal.nrd * ell, "nrd of each neighbor")
+        quat._ensure(nb.is_sublattice_of(ideal), "each neighbor inside the ideal")
     return tuple(out)
 
 
@@ -153,9 +159,9 @@ def random_walk(ideal, spec, rng):
         if w is None:
             raise BudgetError("no rank-one step generator found")
         cur = _step_lattice(order, cur, w, ell)
-    assert cur.nrd == ideal.nrd * spec.norm.value()
-    assert cur.is_sublattice_of(ideal)
-    assert quat.left_order(cur) == order
+    quat._ensure(cur.nrd == ideal.nrd * spec.norm.value(), "nrd of the walk endpoint")
+    quat._ensure(cur.is_sublattice_of(ideal), "walk endpoint inside the ideal")
+    quat._ensure(quat.left_order(cur) == order, "left order of the walk endpoint")
     return cur
 
 

@@ -172,10 +172,11 @@ class QuatLattice:
 
     The basis is a positive-pivot upper-triangular integer HNF divided by
     one global denominator, with the gcd of everything pulled out, so the
-    representation is unique per lattice.
+    representation is unique per lattice.  A lattice is never mutated, so
+    its left order is computed once, by the first left_order call.
     """
 
-    __slots__ = ("alg", "den", "mat", "gram_scaled", "nrd")
+    __slots__ = ("alg", "den", "mat", "gram_scaled", "nrd", "_left_order")
 
     def __init__(self, alg: QuatAlgebra, den: int, mat: tuple):
         self.alg = alg
@@ -189,6 +190,7 @@ class QuatLattice:
             for b in range(a + 1, 4):
                 g = math.gcd(g, 2 * gram[a][b])
         self.nrd = Fraction(g, den * den)
+        self._left_order = None
 
     @staticmethod
     def from_rows(alg: QuatAlgebra, rows) -> "QuatLattice":
@@ -363,9 +365,14 @@ def _ints(*xs) -> bool:
 
 
 def left_order(lat: QuatLattice) -> QuatLattice:
-    """{x : x * lat inside lat}, the intersection of lat * b^-1 over the basis."""
-    cands = [lat.mul_right(b.inverse()) for b in lat.basis_elements()]
-    return functools.reduce(QuatLattice.intersect, cands)
+    """{x : x * lat inside lat}, the intersection of lat * b^-1 over the basis.
+
+    Memoised on lat: later calls return the first call's value.
+    """
+    if lat._left_order is None:
+        cands = [lat.mul_right(b.inverse()) for b in lat.basis_elements()]
+        lat._left_order = functools.reduce(QuatLattice.intersect, cands)
+    return lat._left_order
 
 
 def right_order(lat: QuatLattice) -> QuatLattice:
@@ -380,7 +387,8 @@ def connecting_ideal(o1: QuatLattice, o2: QuatLattice) -> QuatLattice:
         raise ValidationError("connecting ideal needs maximal orders")
     n = o1.intersect(o2).index_in(o2)
     ideal = o1.mul(o2).scale(n)
-    assert left_order(ideal) == o1 and right_order(ideal) == o2
+    _ensure(left_order(ideal) == o1 and right_order(ideal) == o2,
+            "left and right orders of the connecting ideal")
     return ideal
 
 

@@ -37,6 +37,52 @@ def test_ell_neighbors(p, ell):
             assert quat.left_order(nb) == o0
 
 
+@pytest.mark.parametrize("ell", [2, 3, 11])
+def test_neighbor_lattices_built_once_each(monkeypatch, ell):
+    o0, ideal = o0_and_ideal(103, random.Random("neighbors/once"))
+    built = []
+    step = klpt._step_lattice
+    monkeypatch.setattr(klpt, "_step_lattice", lambda *a: built.append(a) or step(*a))
+    for start in (o0, ideal):
+        built.clear()
+        assert len(klpt.ell_neighbors(start, ell)) == ell + 1
+        assert len(built) == ell + 1
+
+
+def test_ell_neighbors_rejects_non_maximal_left_order():
+    # Z + 3*O0 is its own left order but not maximal; its rank-one scan
+    # would find 13 sublattices where a maximal order has 4
+    alg = quat.construct_algebra(103)
+    o0 = quat.special_order(alg).order
+    lam = quat.QuatLattice.from_rows(alg, [alg.one] + [b * 3 for b in o0.basis_elements()])
+    assert quat.left_order(lam) == lam and lam.nrd == 1
+    assert not lam.is_maximal_order()
+    with pytest.raises(ValidationError, match="must be maximal"):
+        klpt.ell_neighbors(lam, 3)
+
+
+def test_ell_neighbors_postcondition_raises_under_optimize():
+    # python -O strips assert statements; a missing neighbor must still raise.
+    # The patched scan drops the last of the ell + 1 neighbors.
+    src = str(Path(quatpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = """
+from quatpath import klpt, quat
+o0 = quat.special_order(quat.construct_algebra(103)).order
+scan = klpt._neighbor_lattices
+klpt._neighbor_lattices = lambda order, ideal, ell: scan(order, ideal, ell)[:-1]
+try:
+    print("returned", len(klpt.ell_neighbors(o0, 3)))
+except AssertionError as e:
+    print("AssertionError:", e)
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "AssertionError: postcondition failed: ell + 1 neighbors"
+
+
 @pytest.mark.parametrize("p", [103, 101, 97])
 def test_random_walk_endpoint(p):
     rng = random.Random(f"walk/{p}")

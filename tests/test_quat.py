@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import quatpath
-from quatpath import arith, linalg, quat
+from quatpath import arith, klpt, linalg, quat
+from quatpath.arith import Factorization
 from quatpath.errors import ValidationError
 from quatpath.quat import (
     QuatElement,
@@ -453,6 +454,31 @@ def test_ideal_equivalence_relation_consistency():
     # at p = 103 the class set has more than one class: with seven random
     # prime-norm ideals, inequivalent pairs must show up
     assert not all(rel.values())
+
+
+def test_left_order_is_memoised_on_the_lattice():
+    o0 = special_order(construct_algebra(103)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    ideal = klpt.random_walk(o0, spec, random.Random(75))
+    first = left_order(ideal)
+    assert left_order(ideal) is first
+    # an equal lattice built afresh computes the same order on its own
+    fresh = QuatLattice.from_json(ideal.to_json())
+    assert fresh == ideal and fresh._left_order is None
+    assert left_order(fresh) == first == o0
+
+
+def test_equivalence_rejects_different_left_orders_once_memoised():
+    # conj(I) has I's right order as its left order; both left orders are
+    # memoised before the test, which must still compare them
+    o0 = special_order(construct_algebra(103)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    ideal = klpt.random_walk(o0, spec, random.Random(76))
+    conj = ideal.conj_lattice()
+    assert left_order(ideal) == o0
+    assert left_order(conj) == right_order(ideal) != o0
+    with pytest.raises(ValidationError, match="share their left order"):
+        ideal_equivalence_test(ideal, conj)
 
 
 def test_ideal_equivalence_witness_transforms_correctly():
