@@ -137,7 +137,8 @@ def random_walk(ideal, spec, rng):
     Steps draw random rank-one elements of ideal/ell*ideal instead of
     enumerating neighbors; the ell + 1 lines have equally many rank-one
     generators, so each step is uniform.  The endpoint sits inside the
-    input with norm scaled by the walk norm, and keeps the left order.
+    input with norm scaled by the walk norm, and keeps the left order,
+    which must be maximal.
     """
     if not isinstance(spec, WalkSpec):
         raise ValidationError("spec must be a WalkSpec")
@@ -145,9 +146,11 @@ def random_walk(ideal, spec, rng):
     for ell in spec.steps:
         if ell == p:
             raise ValidationError("walk steps must avoid the base prime p")
+    order = quat.left_order(ideal)
+    if not order.is_maximal_order():
+        raise ValidationError("the left order of the ideal must be maximal")
     if not spec.steps:
         return ideal
-    order = quat.left_order(ideal)
     cur = ideal
     for ell in spec.steps:
         w = None
@@ -161,7 +164,7 @@ def random_walk(ideal, spec, rng):
         cur = _step_lattice(order, cur, w, ell)
     quat._ensure(cur.nrd == ideal.nrd * spec.norm.value(), "nrd of the walk endpoint")
     quat._ensure(cur.is_sublattice_of(ideal), "walk endpoint inside the ideal")
-    quat._ensure(quat.left_order(cur) == order, "left order of the walk endpoint")
+    quat._ensure(quat.has_left_order(cur, order), "left order of the walk endpoint")
     return cur
 
 
@@ -457,7 +460,7 @@ def equiv_ideal_context(ideal, n1, n2, ell, rng):
     n2v = n2.value()
     if n2v % p == 0:
         raise ValidationError("n2 must be coprime to p")
-    if not ideal.is_sublattice_of(so.order) or so.order.mul(ideal) != ideal:
+    if not ideal.is_sublattice_of(so.order) or not quat.has_left_order(ideal, so.order):
         raise ValidationError("input must be an integral left ideal of the special order")
     rho = _window_base(p, ell, n2v)
     spec = WalkSpec.from_norm(n1)

@@ -173,10 +173,11 @@ class QuatLattice:
     The basis is a positive-pivot upper-triangular integer HNF divided by
     one global denominator, with the gcd of everything pulled out, so the
     representation is unique per lattice.  A lattice is never mutated, so
-    its left order is computed once, by the first left_order call.
+    its left order and whether it is a maximal order are computed once, by
+    the first left_order (or has_left_order) and is_maximal_order calls.
     """
 
-    __slots__ = ("alg", "den", "mat", "gram_scaled", "nrd", "_left_order")
+    __slots__ = ("alg", "den", "mat", "gram_scaled", "nrd", "_left_order", "_is_maximal")
 
     def __init__(self, alg: QuatAlgebra, den: int, mat: tuple):
         self.alg = alg
@@ -191,6 +192,7 @@ class QuatLattice:
                 g = math.gcd(g, 2 * gram[a][b])
         self.nrd = Fraction(g, den * den)
         self._left_order = None
+        self._is_maximal = None
 
     @staticmethod
     def from_rows(alg: QuatAlgebra, rows) -> "QuatLattice":
@@ -323,11 +325,12 @@ class QuatLattice:
         return all(self.contains(a * b) for a in basis for b in basis)
 
     def is_maximal_order(self) -> bool:
-        """An order whose discriminant det(2 * Gram of nrd) is p^2."""
-        if not self.is_order():
-            return False
-        twog = tuple(tuple(2 * x for x in row) for row in self.gram_scaled)
-        return linalg.det_bareiss(twog) == self.alg.p**2 * self.den**8
+        """An order whose discriminant det(2 * Gram of nrd) is p^2; memoised."""
+        if self._is_maximal is None:
+            twog = tuple(tuple(2 * x for x in row) for row in self.gram_scaled)
+            self._is_maximal = (self.is_order() and linalg.det_bareiss(twog)
+                                == self.alg.p**2 * self.den**8)
+        return self._is_maximal
 
     # --- serialization ---
 
@@ -381,13 +384,44 @@ def right_order(lat: QuatLattice) -> QuatLattice:
     return functools.reduce(QuatLattice.intersect, cands)
 
 
+def has_left_order(lat: QuatLattice, order: QuatLattice) -> bool:
+    """Whether order is the left order of lat, exactly, on any input.
+
+    The left order stabilises lat, so an order with order * lat outside
+    lat is not it.  One that stabilises lat lies inside the left order,
+    and a maximal order is maximal under inclusion, so it is the left
+    order (Voight, Quaternion Algebras, ch. 10 and 16): 16 products and
+    16 back-substitutions, no HNF, and the memo of lat is filled.  Only a
+    stabilising non-maximal order falls back to left_order(lat).
+    """
+    lat._compat(order)
+    if lat._left_order is not None:
+        return lat._left_order == order
+    if not all(lat.contains(a * b) for a in order.basis_elements()
+               for b in lat.basis_elements()):
+        return False
+    if not order.is_maximal_order():
+        return left_order(lat) == order
+    lat._left_order = order
+    return True
+
+
+def has_right_order(lat: QuatLattice, order: QuatLattice) -> bool:
+    """Whether order is the right order of lat; has_left_order's twin."""
+    lat._compat(order)
+    if not all(lat.contains(b * a) for b in lat.basis_elements()
+               for a in order.basis_elements()):
+        return False
+    return order.is_maximal_order() or right_order(lat) == order
+
+
 def connecting_ideal(o1: QuatLattice, o2: QuatLattice) -> QuatLattice:
     """The left o1, right o2 ideal joining two maximal orders."""
     if not (o1.is_maximal_order() and o2.is_maximal_order()):
         raise ValidationError("connecting ideal needs maximal orders")
     n = o1.intersect(o2).index_in(o2)
     ideal = o1.mul(o2).scale(n)
-    _ensure(left_order(ideal) == o1 and right_order(ideal) == o2,
+    _ensure(has_left_order(ideal, o1) and has_right_order(ideal, o2),
             "left and right orders of the connecting ideal")
     return ideal
 
@@ -457,8 +491,8 @@ def special_order(alg: QuatAlgebra) -> SpecialOrder:
             omega * alg.j,
         ],
     )
-    assert order.is_maximal_order()
-    assert sub.is_sublattice_of(order)
+    _ensure(order.is_maximal_order(), "the special order is maximal")
+    _ensure(sub.is_sublattice_of(order), "the suborder lies in the special order")
     return SpecialOrder(alg, order, sub, omega, f)
 
 
@@ -530,7 +564,7 @@ def ideal_equivalence_test(i1: QuatLattice, i2: QuatLattice):
     Looks for a norm-one vector of the normalised form on conj(i1)*i2;
     one exists exactly when the classes agree.
     """
-    if left_order(i1) != left_order(i2):
+    if not has_left_order(i2, left_order(i1)):
         raise ValidationError("ideals must share their left order")
     k = i1.conj_lattice().mul(i2)
     hits = list(lattice.enumerate_by_value(k.q_gram(), 1, lower=1))

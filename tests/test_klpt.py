@@ -75,6 +75,17 @@ except AssertionError as e:
     assert out.stdout.strip() == "AssertionError: postcondition failed: ell + 1 neighbors"
 
 
+@pytest.mark.parametrize("ell", [2, 3])
+def test_random_walk_rejects_non_maximal_left_order(ell):
+    # from Z + 3*O0 a walk of norm 3 used to end with the wrong norm
+    alg = quat.construct_algebra(103)
+    o0 = quat.special_order(alg).order
+    lam = quat.QuatLattice.from_rows(alg, [alg.one] + [b * 3 for b in o0.basis_elements()])
+    spec = klpt.WalkSpec.from_norm(Factorization(((ell, 1),), 1))
+    with pytest.raises(ValidationError, match="must be maximal"):
+        klpt.random_walk(lam, spec, random.Random(0))
+
+
 @pytest.mark.parametrize("p", [103, 101, 97])
 def test_random_walk_endpoint(p):
     rng = random.Random(f"walk/{p}")

@@ -479,6 +479,100 @@ def test_equivalence_rejects_different_left_orders_once_memoised():
         ideal_equivalence_test(ideal, conj)
 
 
+def test_equivalence_rejects_different_left_orders_on_fresh_lattices():
+    # the same pair rebuilt from JSON: neither left order is memoised, so
+    # ideal_equivalence_test computes I's and certifies conj(I) against it
+    o0 = special_order(construct_algebra(103)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    ideal = klpt.random_walk(o0, spec, random.Random(76))
+    fresh = QuatLattice.from_json(ideal.to_json())
+    conj = QuatLattice.from_json(ideal.conj_lattice().to_json())
+    assert fresh._left_order is None and conj._left_order is None
+    with pytest.raises(ValidationError, match="share their left order"):
+        ideal_equivalence_test(fresh, conj)
+
+
+def _fresh(lat):
+    """An equal lattice with no memo filled."""
+    return QuatLattice.from_json(lat.to_json())
+
+
+def _certificate_cases(p):
+    """Lattices and candidate orders at p: O0, a walked ideal I, its right
+    order R, conj(I), the connecting ideal of O0 and R, the non-maximal
+    order Z + 3*O0, and two lattices that are not orders."""
+    alg = construct_algebra(p)
+    o0 = special_order(alg).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    ideal = klpt.random_walk(o0, spec, random.Random(f"certify/{p}"))
+    right = right_order(ideal)
+    lam = QuatLattice.from_rows(alg, [alg.one] + [b * 3 for b in o0.basis_elements()])
+    skew = QuatLattice.from_rows(alg, [alg.element(1, 0, 0, 0), alg.element(0, 2, 0, 0),
+                                       alg.element(0, 0, 3, 0), alg.element(0, 0, 0, 5)])
+    lats = [o0, ideal, right, ideal.conj_lattice(), connecting_ideal(o0, right), lam, skew]
+    orders = [o0, right, lam, o0.scale(2), skew, left_order(_fresh(skew))]
+    return lats, orders
+
+
+@pytest.mark.parametrize("p", [103, 1019, 1009])
+def test_order_certificates_agree_with_recomputed_orders(p):
+    lats, orders = _certificate_cases(p)
+    seen = set()
+    for x in lats:
+        for o in orders:
+            want_left = left_order(_fresh(x)) == o
+            want_right = right_order(_fresh(x)) == o
+            seen.add((want_left, want_right))
+            lat = _fresh(x)
+            assert quat.has_left_order(lat, _fresh(o)) == want_left
+            assert quat.has_right_order(_fresh(x), _fresh(o)) == want_right
+            if want_left:
+                assert lat._left_order == o
+    # both answers occur on each side
+    assert {a for a, _ in seen} == {b for _, b in seen} == {True, False}
+
+
+@pytest.mark.parametrize("p", [103, 1019, 1009])
+def test_maximality_memo_matches_a_fresh_lattice(p):
+    lats, orders = _certificate_cases(p)
+    for x in lats + orders:
+        first = x.is_maximal_order()
+        assert x._is_maximal is first and x.is_maximal_order() is first
+        assert _fresh(x).is_maximal_order() == first
+    assert lats[0].is_maximal_order() and not lats[5].is_maximal_order()
+
+
+def _count_intersections(monkeypatch):
+    calls = []
+    meet = QuatLattice.intersect
+    monkeypatch.setattr(QuatLattice, "intersect", lambda a, b: calls.append(1) or meet(a, b))
+    return calls
+
+
+def test_connecting_ideal_makes_one_intersection(monkeypatch):
+    o0 = special_order(construct_algebra(1019)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 4), (3, 2)), 1))
+    right = _fresh(right_order(klpt.random_walk(o0, spec, random.Random(77))))
+    calls = _count_intersections(monkeypatch)
+    conn = connecting_ideal(o0, right)
+    assert len(calls) == 1  # o1 meet o2, for the norm
+    assert left_order(_fresh(conn)) == o0 and right_order(_fresh(conn)) == right
+
+
+def test_equivalence_test_certifies_the_second_ideal_without_intersections(monkeypatch):
+    o0 = special_order(construct_algebra(103)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    rng = random.Random(78)
+    i1 = klpt.random_walk(o0, spec, rng)
+    assert left_order(i1) == o0 and left_order(i1).is_maximal_order()
+    i2 = _fresh(equiv_from_element(i1, i1.basis_elements()[1]))
+    i3 = _fresh(klpt.random_walk(o0, spec, rng))
+    calls = _count_intersections(monkeypatch)
+    assert ideal_equivalence_test(i1, i2) is not None
+    ideal_equivalence_test(i1, i3)
+    assert calls == []
+
+
 def test_ideal_equivalence_witness_transforms_correctly():
     rng = random.Random(74)
     alg = construct_algebra(103)
