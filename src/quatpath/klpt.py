@@ -12,11 +12,11 @@ stray factor of ell when local solvability forces it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, eqsolver, linalg, quat
+from . import arith, eqsolver, lattice, linalg, quat
 from .arith import Factorization
 from .errors import BudgetError, ValidationError
 
@@ -26,6 +26,10 @@ ROUND_CAP = 48
 PRIME_DRAWS_PER_ROUND = 12
 PRIME_SAMPLE_TRIES = 96
 STEP_TRIES = 4096
+
+# class enumeration keys each ideal by its counts of vectors of normalised
+# norm 1, ..., THETA_BOUND
+THETA_BOUND = 4
 
 
 @dataclass(frozen=True)
@@ -168,26 +172,64 @@ def random_walk(ideal, spec, rng):
     return cur
 
 
+def class_number(p: int) -> int:
+    """Eichler's class number of B_{p,oo}: left-ideal classes of a maximal order.
+
+    ((p - 1) + 3*(1 - (-4/p)) + 4*(1 - (-3/p))) / 12, which is
+    floor(p/12) + (0, 1, 1, 2) for p = (1, 5, 7, 11) mod 12, and 1 at p = 2, 3.
+    """
+    if not arith.is_prime(p):
+        raise ValidationError("p must be prime")
+    k4, k3 = arith.kronecker(-4, p), arith.kronecker(-3, p)
+    return ((p - 1) + 3 * (1 - k4) + 4 * (1 - k3)) // 12
+
+
+def _theta_key(ideal) -> tuple:
+    """Counts of vectors of normalised norm 1, ..., THETA_BOUND, up to sign.
+
+    x -> x*a maps I onto I*a and keeps nrd(x)/nrd(I), so equivalent left
+    ideals share the key.
+    """
+    counts = [0] * THETA_BOUND
+    for _, v in lattice.enumerate_by_value(ideal.q_gram(), THETA_BOUND):
+        counts[v - 1] += 1
+    return tuple(counts)
+
+
 def ideal_class_representatives(order, ell: int = 2):
     """One ideal per left-ideal class of a maximal order, deterministic.
 
     Breadth-first search along ell-neighbors starting at the order
-    itself, keeping the first ideal of each new class; the graph is
-    connected, so this reaches everything.
+    itself, keeping the first ideal of each new class, until it holds
+    class_number(p) of them.  The ell-neighbor graph is connected, so the
+    search gets there; a short count raises.  A neighbor is tested for
+    equivalence only against the representatives with its theta key, a
+    class invariant, and each representative is certified to have the
+    order as its left order once, when it is kept.
     """
     if not order.is_maximal_order():
         raise ValidationError("class enumeration needs a maximal order")
     if not arith.is_prime(ell) or ell == order.alg.p:
         raise ValidationError("ell must be a prime different from p")
-    reps = [order]
-    queue = [order]
-    while queue:
-        cur = queue.pop(0)
-        for nb in _neighbor_lattices(order, cur, ell):
-            if any(quat.ideal_equivalence_test(r, nb) is not None for r in reps):
+    h = class_number(order.alg.p)
+    reps, buckets, queue = [], {}, deque()
+
+    def keep(lat, bucket):
+        quat._ensure(quat.has_left_order(lat, order), "left order of each representative")
+        reps.append(lat)
+        bucket.append(lat)
+        queue.append(lat)
+
+    keep(order, buckets.setdefault(_theta_key(order), []))
+    while queue and len(reps) < h:
+        for nb in _neighbor_lattices(order, queue.popleft(), ell):
+            bucket = buckets.setdefault(_theta_key(nb), [])
+            if any(quat.ideal_equivalence_test(r, nb) is not None for r in bucket):
                 continue
-            reps.append(nb)
-            queue.append(nb)
+            keep(nb, bucket)
+            if len(reps) == h:
+                break
+    quat._ensure(len(reps) == h, "class_number(p) representatives")
     return tuple(reps)
 
 
@@ -333,7 +375,8 @@ def _coeff_columns(line, n):
     """Column matrix whose column lattice is Z*line + n*Z^2, det n."""
     h = linalg.hnf(((line[0], line[1]), (n, 0), (0, n)))
     g = ((h[0][0], h[1][0]), (h[0][1], h[1][1]))
-    assert g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n)
+    quat._ensure(g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n),
+                 "det of the coefficient columns is +-n")
     return g
 
 
@@ -351,7 +394,7 @@ def _extra_exponent(f, g, n, p, n2v, ell):
     base = n2v * arith.inv_mod(p * lam % n, n) % n
     if arith.kronecker(base, n) == 1:
         return 0
-    assert arith.kronecker(base * ell % n, n) == 1
+    quat._ensure(arith.kronecker(base * ell % n, n) == 1, "ell twists the class mod n")
     return 1
 
 

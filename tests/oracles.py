@@ -1,8 +1,9 @@
 """Exact oracles shared by the tests, written for plainness, not speed."""
 
 import math
+from collections import deque
 
-from quatpath import arith, lattice, qform
+from quatpath import arith, klpt, lattice, qform, quat
 from quatpath.errors import ValidationError
 
 
@@ -74,3 +75,21 @@ def hnf_with_transform(m):
                 u[i] = [x - q * y for x, y in zip(u[i], u[pivot_row])]
         pivot_row += 1
     return tuple(map(tuple, a)), tuple(map(tuple, u))
+
+
+def class_representatives_bfs(order, ell):
+    """One ideal per left-ideal class of a maximal order, by exhaustive BFS.
+
+    Breadth-first search along ell-neighbors from the order until the
+    queue empties, testing each neighbor against every representative
+    kept so far; the first ideal of each new class is kept.
+    """
+    reps = [order]
+    queue = deque([order])
+    while queue:
+        for nb in klpt._neighbor_lattices(order, queue.popleft(), ell):
+            if any(quat.ideal_equivalence_test(r, nb) is not None for r in reps):
+                continue
+            reps.append(nb)
+            queue.append(nb)
+    return tuple(reps)

@@ -16,6 +16,8 @@ from quatpath import arith, eqsolver, klpt, quat
 from quatpath.arith import Factorization
 from quatpath.errors import BudgetError, ValidationError
 
+from oracles import class_representatives_bfs
+
 
 def o0_and_ideal(p, rng):
     """O0 at p and a left O0-ideal of norm 5 * 7, reached by a walk."""
@@ -98,15 +100,70 @@ def test_random_walk_endpoint(p):
         assert quat.left_order(end) == o0
 
 
-@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29, 31, 37])
+CLASS_PRIMES = [11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@pytest.mark.parametrize("p", CLASS_PRIMES)
 def test_class_number_is_eichlers(p):
     # Eichler's mass formula for B_{p,oo}: floor(p/12) + (0, 1, 1, 2) for
     # p = (1, 5, 7, 11) mod 12
     want = p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
     o0 = quat.special_order(quat.construct_algebra(p)).order
-    reps = klpt.ideal_class_representatives(o0, 2)
-    assert len(reps) == want
-    assert all(quat.left_order(r) == o0 for r in reps)
+    for ell in (2, 3):
+        reps = klpt.ideal_class_representatives(o0, ell)
+        assert len(reps) == want
+        assert all(quat.left_order(r) == o0 for r in reps)
+
+
+def test_class_number():
+    assert klpt.class_number(3) == 1
+    for p in range(5, 201):
+        if arith.is_prime(p):
+            assert klpt.class_number(p) == p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[p % 12], p
+    with pytest.raises(ValidationError):
+        klpt.class_number(15)
+
+
+@pytest.mark.parametrize("p", CLASS_PRIMES)
+@pytest.mark.parametrize("ell", [2, 3])
+def test_class_representatives_match_exhaustive_bfs(p, ell):
+    o0 = quat.special_order(quat.construct_algebra(p)).order
+    assert klpt.ideal_class_representatives(o0, ell) == class_representatives_bfs(o0, ell)
+
+
+@pytest.mark.parametrize("p", [23, 59])
+def test_theta_key_is_a_class_invariant(p):
+    rng = random.Random(f"theta/{p}")
+    o0 = quat.special_order(quat.construct_algebra(p)).order
+    for ideal in klpt.ideal_class_representatives(o0, 2):
+        key = klpt._theta_key(ideal)
+        for _ in range(4):
+            coeffs = (0, 0, 0, 0)
+            while not any(coeffs):
+                coeffs = tuple(rng.randrange(-4, 5) for _ in range(4))
+            other = quat.equiv_from_element(ideal, ideal.element_from(coeffs))
+            assert klpt._theta_key(other) == key
+
+
+def test_class_enumeration_short_count_raises(monkeypatch):
+    # a search that runs out of neighbors short of the class number fails
+    # its postcondition, also under python -O
+    monkeypatch.setattr(klpt, "class_number", lambda p: 4)
+    o0 = quat.special_order(quat.construct_algebra(23)).order
+    with pytest.raises(AssertionError, match="postcondition failed: class_number"):
+        klpt.ideal_class_representatives(o0, 2)
+
+
+def test_class_enumeration_tests_within_theta_buckets(monkeypatch):
+    # an exhaustive BFS testing each neighbor against every representative
+    # makes 80 equivalence tests here
+    calls = []
+    test = quat.ideal_equivalence_test
+    monkeypatch.setattr(quat, "ideal_equivalence_test", lambda *a: calls.append(a) or test(*a))
+    o0 = quat.special_order(quat.construct_algebra(59)).order
+    assert len(klpt.ideal_class_representatives(o0, 3)) == 6
+    assert len(calls) <= 20
+
 
 # A transcript at p = 103 whose prime norm, 4, is not prime, with the input
 # ideal (the special order itself) as its output.
@@ -150,6 +207,19 @@ except ValidationError as e:
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ValidationError: transcript check failed: prime_norm is prime"
+
+
+def test_extra_exponent_check_raises():
+    # 2 = 3^2 mod 7, so when n2 leaves a non-residue mod 7 neither exponent
+    # fixes it; the check is a postcondition, so it raises under python -O too
+    p, n, ell = 103, 7, 2
+    f = quat.special_order(quat.construct_algebra(p)).f
+    g = klpt._coeff_columns((1, 0), n)
+    lam = eqsolver._image_value(f, g, n)
+    n2v = next(m for m in range(1, n)
+               if arith.kronecker(m * arith.inv_mod(p * lam % n, n), n) == -1)
+    with pytest.raises(AssertionError, match="postcondition failed: ell twists"):
+        klpt._extra_exponent(f, g, n, p, n2v, ell)
 
 
 # ---------------------------------------------------------------------------
