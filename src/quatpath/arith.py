@@ -8,9 +8,12 @@ answers.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
+
+from .errors import BudgetError
 
 __all__ = [
     "is_prime",
@@ -21,6 +24,7 @@ __all__ = [
     "kronecker",
     "sqrt_mod",
     "sqrt_mod_prime",
+    "sqrt_mod_factored",
     "Factorization",
     "factor_bounded",
     "factor_completely",
@@ -226,12 +230,12 @@ def sqrt_mod_prime_power(n: int, p: int, k: int = 1) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
     m_full = p**k
     n %= m_full
     if p % 2 == 1 and n % p != 0:
-        return sqrt_mod(n, p, k)
+        return sqrt_mod(n, p, k)  # which checks that p is prime
+    if not is_prime(p):
+        raise ValueError("p must be prime")
     sols = [x for x in range(p) if (x * x - n) % p == 0]
     m = p
     for _ in range(k - 1):
@@ -247,6 +251,27 @@ def sqrt_mod_prime_power(n: int, p: int, k: int = 1) -> list[int]:
         if len(sols) > 10**5:
             raise ValueError("root count over budget; modulus too singular")
     return sols
+
+
+def sqrt_mod_factored(n: int, factors) -> list[int]:
+    """Every square root of n modulo m = prod p^k, factors the pairs (p, k).
+
+    The roots modulo each prime power, from sqrt_mod_prime_power, are
+    combined by CRT in itertools.product order, the first factor
+    outermost, each into [0, m).  Returns the empty list when some prime
+    power has no root, and raises BudgetError past 10^5 roots.
+    """
+    root_sets, moduli, count = [], [], 1
+    for p, k in factors:
+        roots = sqrt_mod_prime_power(n, p, k)
+        if not roots:
+            return []
+        count *= len(roots)
+        if count > 10**5:
+            raise BudgetError("square-root count over budget")
+        root_sets.append(roots)
+        moduli.append(p**k)
+    return [crt(list(combo), moduli)[0] for combo in itertools.product(*root_sets)]
 
 
 @dataclass(frozen=True)

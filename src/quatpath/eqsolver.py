@@ -28,15 +28,13 @@ checked against its defining equation before it escapes.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import arith, lattice, qform, quat
 from .arith import Factorization
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, _ensure
 
 __all__ = [
     "EquationInstance",
@@ -109,15 +107,11 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
     m = qform._coprime_leading_transform(g, a)
     gt = g.transform(m)
 
-    root_sets = []
-    if a > 1:
-        target = (4 * gt.a * n * arith.inv_mod(b, a)) % a
-        for r, k in fa.factors:
-            rk = r**k
-            roots = arith.sqrt_mod(target % rk, r, k)
-            if not roots:
-                return None
-            root_sets.append((rk, roots))
+    # mod a = 1 every quantity below is 0 and the one root class is 0
+    target = (4 * gt.a * n * arith.inv_mod(b, a)) % a
+    roots = arith.sqrt_mod_factored(target, fa.factors)
+    if not roots:
+        return None
 
     rho = (n - a) // b
     if rho < 0:
@@ -125,30 +119,21 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
 
     # Root class x0 is the coset (x0, 0) + L of the lattice L spanned by the
     # columns of ((a, shear), (0, 1)); over that basis it is x0/a + Z^2.
-    if a == 1:
-        shear = 0
-        offsets = [0]
-    else:
-        inv2a = arith.inv_mod(2 * gt.a, a)
-        shear = (-gt.b * inv2a) % a
-        moduli = [rk for rk, _ in root_sets]
-        offsets = []
-        for combo in itertools.product(*(roots for _, roots in root_sets)):
-            w0 = arith.crt(list(combo), moduli)[0]
-            offsets.append((w0 * inv2a) % a)
-        rng.shuffle(offsets)
+    inv2a = arith.inv_mod(2 * gt.a, a)
+    shear = (-gt.b * inv2a) % a
+    offsets = [(w0 * inv2a) % a for w0 in roots]
+    rng.shuffle(offsets)
     sub = gt.transform(((a, shear), (0, 1)))
 
     for x0 in offsets:
-        shift = (Fraction(x0, a), Fraction(0))
-        pt = lattice.sample_ellipsoid_coset_dim2(sub, shift, rho, rng)
+        pt = lattice.sample_ellipsoid_coset_dim2(sub, (x0, 0, a), rho, rng)
         if pt is None:
             continue
         v = (pt[0] * a + pt[1] * shear + x0, pt[1])
         x, y = qform._apply(m, v)
         val = g.value(x, y)
         z, rem = divmod(n - b * val, a)
-        quat._ensure(rem == 0 and z > 0 and a * z + b * val == n, "a*z + b*g(x, y) = n, z > 0")
+        _ensure(rem == 0 and z > 0 and a * z + b * val == n, "a*z + b*g(x, y) = n, z > 0")
         return z, x, y
     raise BudgetError("empty solution set: no admissible point with z > 0")
 
@@ -439,8 +424,8 @@ def lift_genus_solution(inst, sol):
 
     x, y = qform._apply(inst.rho, (xp, yp))
     det2 = _det2(inst.gamma) ** 2
-    quat._ensure(det2 * inst.f.value(s, t) + inst.b * inst.g_gamma.value(x, y) == inst.n,
-                 "det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n")
+    _ensure(det2 * inst.f.value(s, t) + inst.b * inst.g_gamma.value(x, y) == inst.n,
+            "det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n")
     return s, t, x, y
 
 
@@ -528,7 +513,8 @@ def solve_master(inst, rng):
             continue
         f1, w1 = qform.compose_with_coords(k_form, wit, k_form, wit)
         f2, w2 = qform.compose_with_coords(f1, w1, h, (x1, y1))
-        assert f2 == g_red and g_red.value(*w2) == d * d * h.value(x1, y1)
+        _ensure(f2 == g_red and g_red.value(*w2) == d * d * h.value(x1, y1),
+                "the pull-back to g represents d^2 h(x1, y1)")
         v2 = qform._apply(mg, w2)
         sol = lift_genus_solution(inst, (z, v2[0], v2[1]))
         LOG.debug("master solved after %d attempts, stats %s", attempt, stats)
@@ -566,6 +552,6 @@ def represent_in_O0(alg, n, rng):
         out = so.embed(s, t, x, y)
     for _ in range(e):
         out = alg.j * out
-    quat._ensure(out.nrd() == n, "nrd of the norm representative")
-    quat._ensure(so.order.contains(out), "norm representative in O0")
+    _ensure(out.nrd() == n, "nrd of the norm representative")
+    _ensure(so.order.contains(out), "norm representative in O0")
     return out

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import arith, eqsolver, lattice, linalg, quat
 from .arith import Factorization
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, _ensure
 
 # retry budgets for the equivalence search; rounds are cheap at desk
 # scale so the caps are generous
@@ -65,24 +65,6 @@ class WalkSpec:
 # neighbors in the Brandt graph
 
 
-def _rank_one_in_quotient(ideal, ell, coeffs):
-    """The element picked by coeffs when it spans a line mod ell, else None.
-
-    ideal/ell*ideal is free of rank one over the mod-ell order, which is
-    a full 2x2 matrix algebra for ell away from p; an element generates
-    a proper nonzero left submodule exactly when its normalised norm
-    vanishes mod ell without the element itself vanishing.
-    """
-    if all(c % ell == 0 for c in coeffs):
-        return None
-    w = ideal.element_from(coeffs)
-    ratio = w.nrd() / ideal.nrd
-    assert ratio.denominator == 1
-    if int(ratio) % ell:
-        return None
-    return w
-
-
 def _step_lattice(order, ideal, w, ell):
     """The neighbor order*w + ell*ideal for a rank-one w in ideal."""
     rows = [b * w for b in order.basis_elements()]
@@ -93,15 +75,24 @@ def _step_lattice(order, ideal, w, ell):
 def _neighbor_lattices(order, ideal, ell):
     """All distinct neighbors, sorted canonically.
 
+    ideal/ell*ideal is free of rank one over the mod-ell order, which is a
+    full 2x2 matrix algebra for ell away from p, so the element w with
+    coefficients c mod ell generates a proper nonzero left submodule (is
+    rank one) exactly when c is not 0 mod ell and ell divides the
+    normalised norm nrd(w)/nrd(ideal), the integral form q_gram() at c.
+
     order must be the left order of ideal and maximal.  Then every
     rank-one w spans a neighbor of index ell^2 in ideal, so a w inside a
     neighbor found already spans that very neighbor and is skipped: one
     lattice is built per neighbor.
     """
+    gram = ideal.q_gram()
     out = []
     for coeffs in itertools.product(range(ell), repeat=4):
-        w = _rank_one_in_quotient(ideal, ell, coeffs)
-        if w is None or any(nb.contains(w) for nb in out):
+        if not any(coeffs) or gram.value_int(coeffs) % ell:
+            continue
+        w = ideal.element_from(coeffs)
+        if any(nb.contains(w) for nb in out):
             continue
         out.append(_step_lattice(order, ideal, w, ell))
     out.sort(key=lambda lat: (lat.den, lat.mat))
@@ -128,21 +119,21 @@ def ell_neighbors(ideal, ell):
     if not order.is_maximal_order():
         raise ValidationError("the left order of the ideal must be maximal")
     out = _neighbor_lattices(order, ideal, ell)
-    quat._ensure(len(out) == ell + 1, "ell + 1 neighbors")
+    _ensure(len(out) == ell + 1, "ell + 1 neighbors")
     for nb in out:
-        quat._ensure(nb.nrd == ideal.nrd * ell, "nrd of each neighbor")
-        quat._ensure(nb.is_sublattice_of(ideal), "each neighbor inside the ideal")
+        _ensure(nb.nrd == ideal.nrd * ell, "nrd of each neighbor")
+        _ensure(nb.is_sublattice_of(ideal), "each neighbor inside the ideal")
     return tuple(out)
 
 
 def random_walk(ideal, spec, rng):
     """Walk endpoint: one uniformly chosen neighbor per step of spec.
 
-    Steps draw random rank-one elements of ideal/ell*ideal instead of
-    enumerating neighbors; the ell + 1 lines have equally many rank-one
-    generators, so each step is uniform.  The endpoint sits inside the
-    input with norm scaled by the walk norm, and keeps the left order,
-    which must be maximal.
+    Steps draw random rank-one elements of ideal/ell*ideal, tested as in
+    _neighbor_lattices, instead of enumerating neighbors; the ell + 1
+    lines have equally many rank-one generators, so each step is uniform.
+    The endpoint sits inside the input with norm scaled by the walk norm,
+    and keeps the left order, which must be maximal.
     """
     if not isinstance(spec, WalkSpec):
         raise ValidationError("spec must be a WalkSpec")
@@ -157,18 +148,17 @@ def random_walk(ideal, spec, rng):
         return ideal
     cur = ideal
     for ell in spec.steps:
-        w = None
+        gram = cur.q_gram()
         for _ in range(STEP_TRIES):
             coeffs = tuple(rng.randrange(ell) for _ in range(4))
-            w = _rank_one_in_quotient(cur, ell, coeffs)
-            if w is not None:
+            if any(coeffs) and gram.value_int(coeffs) % ell == 0:
                 break
-        if w is None:
+        else:
             raise BudgetError("no rank-one step generator found")
-        cur = _step_lattice(order, cur, w, ell)
-    quat._ensure(cur.nrd == ideal.nrd * spec.norm.value(), "nrd of the walk endpoint")
-    quat._ensure(cur.is_sublattice_of(ideal), "walk endpoint inside the ideal")
-    quat._ensure(quat.has_left_order(cur, order), "left order of the walk endpoint")
+        cur = _step_lattice(order, cur, cur.element_from(coeffs), ell)
+    _ensure(cur.nrd == ideal.nrd * spec.norm.value(), "nrd of the walk endpoint")
+    _ensure(cur.is_sublattice_of(ideal), "walk endpoint inside the ideal")
+    _ensure(quat.has_left_order(cur, order), "left order of the walk endpoint")
     return cur
 
 
@@ -215,7 +205,7 @@ def ideal_class_representatives(order, ell: int = 2):
     reps, buckets, queue = [], {}, deque()
 
     def keep(lat, bucket):
-        quat._ensure(quat.has_left_order(lat, order), "left order of each representative")
+        _ensure(quat.has_left_order(lat, order), "left order of each representative")
         reps.append(lat)
         bucket.append(lat)
         queue.append(lat)
@@ -229,7 +219,7 @@ def ideal_class_representatives(order, ell: int = 2):
             keep(nb, bucket)
             if len(reps) == h:
                 break
-    quat._ensure(len(reps) == h, "class_number(p) representatives")
+    _ensure(len(reps) == h, "class_number(p) representatives")
     return tuple(reps)
 
 
@@ -375,8 +365,8 @@ def _coeff_columns(line, n):
     """Column matrix whose column lattice is Z*line + n*Z^2, det n."""
     h = linalg.hnf(((line[0], line[1]), (n, 0), (0, n)))
     g = ((h[0][0], h[1][0]), (h[0][1], h[1][1]))
-    quat._ensure(g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n),
-                 "det of the coefficient columns is +-n")
+    _ensure(g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n),
+            "det of the coefficient columns is +-n")
     return g
 
 
@@ -394,7 +384,7 @@ def _extra_exponent(f, g, n, p, n2v, ell):
     base = n2v * arith.inv_mod(p * lam % n, n) % n
     if arith.kronecker(base, n) == 1:
         return 0
-    quat._ensure(arith.kronecker(base * ell % n, n) == 1, "ell twists the class mod n")
+    _ensure(arith.kronecker(base * ell % n, n) == 1, "ell twists the class mod n")
     return 1
 
 
@@ -559,6 +549,6 @@ def powersmooth_equiv(ideal, bound, rng):
     ctx = equiv_ideal_context(ideal, n, n, 2, rng)
     exps = {q: 2 * e for q, e in n.factors}
     exps[2] += ctx.extra_exp
-    quat._ensure(all(q**e <= bound for q, e in exps.items()),
-                 "output norm is bound-powersmooth")
+    _ensure(all(q**e <= bound for q, e in exps.items()),
+            "output norm is bound-powersmooth")
     return ctx.output

@@ -6,10 +6,12 @@ for its rank-4 quaternion lattices.  The rank-2 layer (reduce_binary and
 the *_dim2 functions) instead takes a positive definite binary form, a
 qform.BinaryQF, and reads its integer coefficients a, b, c; over a reduced
 basis one row formula serves counting, enumeration and the exact coset
-sampler.
+sampler.  A coset shift is the integer triple (q1, q2, d), the point
+(q1, q2)/d.
 Everything is exact integer arithmetic, never floats: a GramForm holds
 the integer matrix 2G, and LLL, Fincke-Pohst enumeration and the
-ellipsoid sampler share one integral Gram-Schmidt computation.
+ellipsoid sampler share one integral Gram-Schmidt computation.  The only
+Fractions are the half-integer Gram entries GramForm's constructor reads.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .errors import BudgetError
+from .errors import BudgetError, ValidationError
 
 __all__ = [
     "GramForm",
@@ -206,16 +208,17 @@ def _to_input(z, u) -> tuple[int, int]:
 
 
 def _reduced_coset(form, shift):
-    """((a, b, c), U, (p1, p2, d)) for the point set {x : f(x + shift) <= rho}.
+    """((a, b, c), U, (p1, p2, d)) for the point set {x : f(x + s) <= rho}.
 
-    The set is {x' U : f_red(x' + s') <= rho} with (a, b, c) reduced and
-    s' = shift U^-1 = (p1, p2)/d.  U is in SL2(Z), so U^-1 is integral and
-    s' keeps the denominator d of the shift.
+    shift = (q1, q2, d) is the point s = (q1, q2)/d, integers with d >= 1,
+    in lowest terms or not.  The set is {x' U : f_red(x' + s') <= rho} with
+    (a, b, c) reduced and s' = s U^-1 = (p1, p2)/d.  U is in SL2(Z), so
+    U^-1 is integral and s' keeps the denominator d.
     """
+    q1, q2, d = shift
+    if d < 1:
+        raise ValidationError("the shift's denominator d must be at least 1")
     (a, b, c), u = reduce_binary(form.a, form.b, form.c)
-    s1, s2 = Fraction(shift[0]), Fraction(shift[1])
-    d = math.lcm(s1.denominator, s2.denominator)
-    q1, q2 = int(s1 * d), int(s2 * d)
     return (a, b, c), u, (q1 * u[1][1] - q2 * u[1][0], q2 * u[0][0] - q1 * u[0][1], d)
 
 
@@ -270,7 +273,8 @@ def _rows(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int):
 
 
 def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
-    """Exact #{x in Z^2 : f(x + shift) <= rho}, by the row scan.
+    """Exact #{x in Z^2 : f(x + (q1, q2)/d) <= rho}, shift = (q1, q2, d), by
+    the row scan.
 
     The scan runs over a reduced basis and costs one pass per row, so
     `budget` caps the row count; the number of points inside plays no
@@ -286,8 +290,8 @@ def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
 
 
 def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list:
-    """All x in Z^2 with f(x + shift) <= rho, by the same row scan as
-    count_ellipsoid_dim2.  Refuses oversized boxes."""
+    """All x in Z^2 with f(x + (q1, q2)/d) <= rho, shift = (q1, q2, d), by
+    the same row scan as count_ellipsoid_dim2.  Refuses oversized boxes."""
     (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
         return []
@@ -302,7 +306,8 @@ def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list
 
 
 def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
-    """Uniform sample from {x in Z^2 : f(x + shift) <= rho}, or None if empty.
+    """Uniform sample from {x in Z^2 : f(x + (q1, q2)/d) <= rho}, shift =
+    (q1, q2, d), or None if empty.
 
     Works over a reduced basis, whose box (_box) has R rows, each holding
     fewer than W points; R is known before any row is read.  With

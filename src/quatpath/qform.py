@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import arith, lattice
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, _ensure
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def reduce_form(f: BinaryQF) -> tuple[BinaryQF, tuple]:
     (a, b, c), u = lattice.reduce_binary(f.a, f.b, f.c)
     m = ((u[0][0], u[1][0]), (u[0][1], u[1][1]))
     red = BinaryQF(a, b, c)
-    assert f.transform(m) == red
+    _ensure(f.transform(m) == red, "f o m is the reduced form")
     return red, m
 
 
@@ -207,7 +207,8 @@ def compose_with_coords(f1: BinaryQF, v1, f2: BinaryQF, v2) -> tuple[BinaryQF, t
     X = w1[0] * w2[0] - C * w1[1] * w2[1]
     Y = a1 * w1[0] * w2[1] + a2 * w2[0] * w1[1] + B * w1[1] * w2[1]
     comp = BinaryQF(a1 * a2, B, C)
-    assert comp.value(X, Y) == f1.value(*v1) * f2.value(*v2)
+    _ensure(comp.value(X, Y) == f1.value(*v1) * f2.value(*v2),
+            "the composed form represents f1(v1) * f2(v2)")
     red, m3 = reduce_form(comp)
     return red, _apply(_inv2(m3), (X, Y))
 
@@ -242,7 +243,7 @@ def cornacchia(f: BinaryQF, z: int, fz: arith.Factorization):
         four_zp = {p: k for p, k in zp_exps.items() if k > 0}
         four_zp[2] = four_zp.get(2, 0) + 2
         seen = set()
-        for r in _sqrt_mod_from_dict(D, four_zp):
+        for r in arith.sqrt_mod_factored(D, four_zp.items()):
             B = r % (2 * zp)
             if B in seen:
                 continue
@@ -251,7 +252,7 @@ def cornacchia(f: BinaryQF, z: int, fz: arith.Factorization):
             red, m = reduce_form(g)
             if red == f:
                 s, t = _apply(_inv2(m), (1, 0))
-                assert f.value(e * s, e * t) == z
+                _ensure(f.value(e * s, e * t) == z, "f(s, t) = z")
                 return (e * s, e * t)
     return None
 
@@ -264,22 +265,6 @@ def _square_divisors(fdict: dict) -> list:
         out = [(d * p**i, {**exps, p: k - 2 * i})
                for d, exps in out for i in range(k // 2 + 1)]
     return sorted(out, key=lambda pair: pair[0])
-
-
-def _sqrt_mod_from_dict(n: int, fdict: dict) -> list[int]:
-    """All square roots of n modulo prod p^k over the given prime powers."""
-    combos = [(0, 1)]
-    for p, k in fdict.items():
-        roots = arith.sqrt_mod_prime_power(n, p, k)
-        if not roots:
-            return []
-        pe = p**k
-        combos = [
-            (arith.crt([r0, r], [m0, pe])[0], m0 * pe) for r0, m0 in combos for r in roots
-        ]
-        if len(combos) > 10**5:
-            raise BudgetError("square-root count over budget")
-    return [r for r, _ in combos]
 
 
 def fundamental_discriminant(D: int) -> tuple[int, int]:

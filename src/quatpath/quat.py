@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, lattice, linalg, qform
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, _ensure
 
 
 @dataclass(frozen=True)
@@ -379,9 +379,12 @@ def left_order(lat: QuatLattice) -> QuatLattice:
 
 
 def right_order(lat: QuatLattice) -> QuatLattice:
-    """{x : lat * x inside lat}, the intersection of b^-1 * lat over the basis."""
-    cands = [lat.mul_left(b.inverse()) for b in lat.basis_elements()]
-    return functools.reduce(QuatLattice.intersect, cands)
+    """{x : lat * x inside lat}, the left order of conj(lat).
+
+    lat * x inside lat is conj(x) * conj(lat) inside conj(lat), and an
+    order is closed under conjugation.
+    """
+    return left_order(lat.conj_lattice())
 
 
 def has_left_order(lat: QuatLattice, order: QuatLattice) -> bool:
@@ -407,12 +410,8 @@ def has_left_order(lat: QuatLattice, order: QuatLattice) -> bool:
 
 
 def has_right_order(lat: QuatLattice, order: QuatLattice) -> bool:
-    """Whether order is the right order of lat; has_left_order's twin."""
-    lat._compat(order)
-    if not all(lat.contains(b * a) for b in lat.basis_elements()
-               for a in order.basis_elements()):
-        return False
-    return order.is_maximal_order() or right_order(lat) == order
+    """Whether order is the right order of lat: the left order of conj(lat)."""
+    return has_left_order(lat.conj_lattice(), order)
 
 
 def connecting_ideal(o1: QuatLattice, o2: QuatLattice) -> QuatLattice:
@@ -494,12 +493,6 @@ def special_order(alg: QuatAlgebra) -> SpecialOrder:
     _ensure(order.is_maximal_order(), "the special order is maximal")
     _ensure(sub.is_sublattice_of(order), "the suborder lies in the special order")
     return SpecialOrder(alg, order, sub, omega, f)
-
-
-def _ensure(ok: bool, what: str) -> None:
-    """Check a postcondition on a returned value; unlike assert, also under -O."""
-    if not ok:
-        raise AssertionError(f"postcondition failed: {what}")
 
 
 def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:

@@ -1,18 +1,43 @@
-"""Exact oracles shared by the tests, written for plainness, not speed."""
+"""Exact oracles shared by the tests, written for plainness, not speed, and
+the harness that runs a script under python -O."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
+import quatpath
 from quatpath import arith, klpt, lattice, qform, quat
 from quatpath.errors import ValidationError
+
+
+def run_under_python_O(script):
+    """Run script under python -O; the finished process.
+
+    The child imports quatpath from this checkout, put ahead of the
+    caller's PYTHONPATH.  It first prints sys.flags.optimize, which must
+    read 1 and is cut from the process's stdout, leaving the script's own.
+    """
+    src = str(Path(quatpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys\nprint(sys.flags.optimize)\n" + script
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    flag, _, run.stdout = run.stdout.partition("\n")
+    if flag != "1":  # not an assert: pytest leaves this module's to python -O
+        raise AssertionError(f"the script did not run under python -O: {run.stderr}")
+    return run
 
 
 def representation_count(f, N):
     """Exact #{(x, y) in Z^2 : f(x, y) = N}, as a difference of ellipse counts."""
     if N <= 0:
         raise ValidationError("N must be positive")
-    return (lattice.count_ellipsoid_dim2(f, (0, 0), N)
-            - lattice.count_ellipsoid_dim2(f, (0, 0), N - 1))
+    return (lattice.count_ellipsoid_dim2(f, (0, 0, 1), N)
+            - lattice.count_ellipsoid_dim2(f, (0, 0, 1), N - 1))
 
 
 def genus_representation_count(D, N):

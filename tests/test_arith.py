@@ -1,5 +1,6 @@
 """Number-theory kernel: every routine checked against a brute oracle."""
 
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatpath import arith
+from quatpath.errors import BudgetError
 
 
 def sieve(n):
@@ -131,6 +133,20 @@ def test_sqrt_mod_prime_powers():
                 got = sorted(arith.sqrt_mod_prime_power(n, p, k))
                 want = sorted(x for x in range(m) if x * x % m == n)
                 assert got == want, (p, k, n)
+
+
+def test_sqrt_mod_factored():
+    # every root, combined in itertools.product order, first factor outermost
+    roots = arith.sqrt_mod_factored(1, [(5, 1), (2, 3), (3, 1)])
+    assert [(r % 5, r % 8, r % 3) for r in roots] == list(
+        itertools.product([1, 4], [1, 3, 5, 7], [1, 2]))
+    assert all(0 <= r < 120 for r in roots)
+    assert sorted(roots) == [x for x in range(120) if x * x % 120 == 1]
+    assert arith.sqrt_mod_factored(2, [(7, 1), (3, 1)]) == []  # 2 is no square mod 3
+    assert arith.sqrt_mod_factored(5, []) == [0]
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+    with pytest.raises(BudgetError, match="square-root count"):
+        arith.sqrt_mod_factored(1, [(q, 1) for q in primes])  # 2^17 roots
 
 
 def test_sqrt_mod_odd_coprime():

@@ -3,16 +3,12 @@ equation, and norm representation on the special order."""
 
 import itertools
 import math
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-import quatpath
 from quatpath import arith, eqsolver, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
 from quatpath.eqsolver import (
@@ -25,7 +21,12 @@ from quatpath.eqsolver import (
 )
 from quatpath.errors import BudgetError, ValidationError
 
-from oracles import genus_representation_count, genus_residues, representation_count
+from oracles import (
+    genus_representation_count,
+    genus_residues,
+    representation_count,
+    run_under_python_O,
+)
 
 ID2 = ((1, 0), (0, 1))
 
@@ -747,58 +748,62 @@ def test_represent_builds_no_new_special_order(monkeypatch):
     assert builds == []
 
 
-def run_under_python_O(patch, call):
-    """Run one call under python -O after a monkeypatch; the finished process."""
-    code = (
-        "import random, sys\n"
-        "from quatpath import eqsolver, qform, quat\n"
-        "from quatpath.arith import Factorization\n"
-        "print(sys.flags.optimize)\n"
-        f"{patch}\n"
-        f"{call}\n"
-    )
-    src = str(Path(quatpath.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.stdout.strip() == "1"
-    return run
+# what each script run under python -O below starts with
+O_HEADER = """
+import random
+from quatpath import eqsolver, qform, quat
+from quatpath.arith import Factorization
+"""
 
 
 def test_represent_postconditions_hold_under_python_O():
     # a wrong tuple from solve_master must not slip out when asserts are
     # compiled away
-    run = run_under_python_O(
-        "eqsolver.solve_master = lambda inst, rng: (1, 0, 0, 0)",
-        "eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0))",
-    )
+    run = run_under_python_O(O_HEADER + """
+eqsolver.solve_master = lambda inst, rng: (1, 0, 0, 0)
+eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0))
+""")
     assert run.returncode != 0
     assert "postcondition failed: nrd of the norm representative" in run.stderr
 
 
 def test_sampler_postcondition_holds_under_python_O():
     # nor a point outside the window from the coset sampler
-    run = run_under_python_O(
-        "eqsolver.lattice.sample_ellipsoid_coset_dim2 = lambda *args: (10**6, 0)",
-        "eqsolver.sample_az_plus_bg(47, 1, 100007, qform.BinaryQF(5, 4, 29), "
-        "Factorization(((47, 1),), 1), random.Random(0))",
-    )
+    run = run_under_python_O(O_HEADER + """
+eqsolver.lattice.sample_ellipsoid_coset_dim2 = lambda *args: (10**6, 0)
+eqsolver.sample_az_plus_bg(47, 1, 100007, qform.BinaryQF(5, 4, 29),
+                           Factorization(((47, 1),), 1), random.Random(0))
+""")
     assert run.returncode != 0
     assert "postcondition failed: a*z + b*g(x, y) = n, z > 0" in run.stderr
+
+
+# a compose_with_coords whose coordinates come back one off in the first entry
+SHIFTED_COMPOSE = """
+cwc = qform.compose_with_coords
+qform.compose_with_coords = lambda *args: (lambda form, w: (form, (w[0] + 1, w[1])))(*cwc(*args))
+"""
 
 
 def test_lift_postcondition_holds_under_python_O():
     # nor a lift whose compositions hand back wrong coordinates; 1000033 is
     # a prime 1 mod 4, so (1000033, 0, 0) is a valid triple
-    run = run_under_python_O(
-        "cwc = qform.compose_with_coords\n"
-        "qform.compose_with_coords = lambda *args: "
-        "(lambda form, w: (form, (w[0] + 1, w[1])))(*cwc(*args))",
-        "eqsolver.lift_genus_solution(eqsolver.equation_instance(qform.BinaryQF(1, 0, 1), "
-        "((1, 0), (0, 1)), 103, 1000033), (1000033, 0, 0))",
-    )
+    run = run_under_python_O(O_HEADER + SHIFTED_COMPOSE + """
+eqsolver.lift_genus_solution(eqsolver.equation_instance(qform.BinaryQF(1, 0, 1),
+                             ((1, 0), (0, 1)), 103, 1000033), (1000033, 0, 0))
+""")
     assert run.returncode != 0
     assert "postcondition failed: det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n" in run.stderr
+
+
+def test_master_pull_back_postcondition_holds_under_python_O():
+    # nor a pull-back to g that misses d^2 h(x1, y1): it is solve_master's
+    # own fault, not a caller error from the lift it would reach
+    run = run_under_python_O(O_HEADER + SHIFTED_COMPOSE + """
+eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0))
+""")
+    assert run.returncode != 0
+    assert "postcondition failed: the pull-back to g represents d^2 h(x1, y1)" in run.stderr
 
 
 def test_represent_infeasible_small_n():

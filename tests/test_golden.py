@@ -92,26 +92,28 @@ COSET_CASES = [
 
 
 def az_coset(g: BinaryQF, a: int, n: int):
-    """The form and root-class shifts sample_az_plus_bg builds for b = 1."""
+    """The form and the root-class offsets x0, each the coset shift
+    (x0, 0, a), that sample_az_plus_bg builds for b = 1."""
     m = qform._coprime_leading_transform(g, a)
     gt = g.transform(m)
     target = (4 * gt.a * n) % a
     inv2a = arith.inv_mod(2 * gt.a, a)
     gram = gt.transform(((a, (-gt.b * inv2a) % a), (0, 1)))
-    shifts = sorted(Fraction((r * inv2a) % a, a) for r in arith.sqrt_mod(target, a, 1))
-    return gram, shifts
+    offsets = sorted((r * inv2a) % a for r in arith.sqrt_mod(target, a, 1))
+    return gram, offsets
 
 
 def coset_outputs():
     out = []
     for g, a, n, rhos in COSET_CASES:
-        gram, shifts = az_coset(BinaryQF(*g), a, n)
-        shift = (shifts[0], Fraction(0))
+        gram, offsets = az_coset(BinaryQF(*g), a, n)
+        shift = (offsets[0], 0, a)
         for rho in rhos:
             size = lattice.count_ellipsoid_dim2(gram, shift, rho)
             rng = random.Random(f"golden/coset/{g}/{rho}")
             draws = [lattice.sample_ellipsoid_coset_dim2(gram, shift, rho, rng) for _ in range(6)]
-            out.append(((gram.a, gram.b, gram.c), str(shift[0]), rho, size, digest(draws)))
+            out.append(((gram.a, gram.b, gram.c), str(Fraction(offsets[0], a)), rho, size,
+                        digest(draws)))
     return out
 
 
@@ -148,8 +150,8 @@ def test_coset_sampler_pinned():
         0, 1, 934, 973, 28137, 0, 1, 3303, 3483, 32300, 0, 1, 1402, 1561
     ]
     for g, a, n, rhos in COSET_CASES:
-        gram, shifts = az_coset(BinaryQF(*g), a, n)
-        shift = (shifts[0], Fraction(0))
+        gram, offsets = az_coset(BinaryQF(*g), a, n)
+        shift = (offsets[0], 0, a)
         assert [box_rows(gram, shift, rho) for rho in rhos[2:4]] == [32, 33]
         assert box_rows(gram, shift, rhos[2] - 1) == 31
     assert got == GOLDEN_COSET
@@ -181,12 +183,12 @@ def test_sample_az_plus_bg_pinned():
 
 
 SHIFTED_CASES = [
-    ((11045, 4418, 470), (Fraction(39, 47), 0), 40000),
-    ((5290, 9522, 4301), (Fraction(5, 23), 0), 30000),
-    ((7, 13, 11), (Fraction(1, 3), Fraction(-2, 5)), 300),
-    ((3, -3, 5), (Fraction(1, 2), Fraction(1, 2)), 120),
-    ((5, -2, 5), (0, Fraction(3, 4)), 90),
-    ((1, 0, 1), (0, 0), 50),
+    ((11045, 4418, 470), (39, 0, 47), 40000),
+    ((5290, 9522, 4301), (5, 0, 23), 30000),
+    ((7, 13, 11), (5, -6, 15), 300),
+    ((3, -3, 5), (1, 1, 2), 120),
+    ((5, -2, 5), (0, 3, 4), 90),
+    ((1, 0, 1), (0, 0, 1), 50),
 ]
 
 

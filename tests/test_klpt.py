@@ -2,21 +2,17 @@
 equivalent-ideal transcript (KlptContext.verify() on tampered input), and
 the search's success rate at fixed seeds."""
 
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
+from fractions import Fraction
 
 import pytest
 
-import quatpath
-from quatpath import arith, eqsolver, klpt, quat
+from quatpath import arith, eqsolver, klpt, lattice, quat
 from quatpath.arith import Factorization
 from quatpath.errors import BudgetError, ValidationError
 
-from oracles import class_representatives_bfs
+from oracles import class_representatives_bfs, run_under_python_O
 
 
 def o0_and_ideal(p, rng):
@@ -58,10 +54,7 @@ def test_ell_neighbors_rejects_non_maximal_left_order():
 def test_ell_neighbors_postcondition_raises_under_optimize():
     # python -O strips assert statements; a missing neighbor must still raise.
     # The patched scan drops the last of the ell + 1 neighbors.
-    src = str(Path(quatpath.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = """
+    out = run_under_python_O("""
 from quatpath import klpt, quat
 o0 = quat.special_order(quat.construct_algebra(103)).order
 scan = klpt._neighbor_lattices
@@ -70,9 +63,7 @@ try:
     print("returned", len(klpt.ell_neighbors(o0, 3)))
 except AssertionError as e:
     print("AssertionError:", e)
-"""
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+""")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "AssertionError: postcondition failed: ell + 1 neighbors"
 
@@ -113,6 +104,19 @@ def test_class_number_is_eichlers(p):
         reps = klpt.ideal_class_representatives(o0, ell)
         assert len(reps) == want
         assert all(quat.left_order(r) == o0 for r in reps)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 201) if arith.is_prime(p)])
+def test_mass_formula(p):
+    # Eichler's mass formula: the classes' 1/|O_R(I)^x| sum to (p - 1)/24.
+    # O_R(I)^x is the norm-one vectors of O_R(I), listed up to sign
+    o0 = quat.special_order(quat.construct_algebra(p)).order
+    for ell in (2, 3):
+        mass = 0
+        for rep in klpt.ideal_class_representatives(o0, ell):
+            pairs = lattice.enumerate_by_value(quat.right_order(rep).q_gram(), 1)
+            mass += Fraction(1, 2 * len(list(pairs)))
+        assert mass == Fraction(p - 1, 24), ell
 
 
 def test_class_number():
@@ -193,18 +197,13 @@ def test_verify_rejects_tampered_transcript():
 
 def test_verify_rejects_tampered_transcript_under_optimize():
     # python -O strips assert statements; verify() must not rely on them
-    src = str(Path(quatpath.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = TAMPERED + """
+    out = run_under_python_O(TAMPERED + """
 from quatpath.errors import ValidationError
 try:
     print("returned", ctx.verify())
 except ValidationError as e:
     print("ValidationError:", e)
-"""
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+""")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ValidationError: transcript check failed: prime_norm is prime"
 

@@ -13,7 +13,7 @@ import pytest
 
 from quatpath import klpt, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
-from quatpath.errors import BudgetError
+from quatpath.errors import BudgetError, ValidationError
 from quatpath.lattice import (
     GramForm,
     count_ellipsoid_dim2,
@@ -74,6 +74,12 @@ def twice_value(form, v):
     """2 f(v) = v^T (2G) v for a rational vector v, for the oracles."""
     m = form.m
     return sum(m[i][j] * a * b for i, a in enumerate(v) if a for j, b in enumerate(v) if b)
+
+
+def as_point(shift):
+    """The rational point (q1, q2)/d of a rank-2 coset shift (q1, q2, d)."""
+    q1, q2, d = shift
+    return Fraction(q1, d), Fraction(q2, d)
 
 
 def brute_box(form, shift, rho):
@@ -186,8 +192,8 @@ def test_count_and_enumerate_ellipsoid_dim2():
     for _ in range(100):
         f = rand_binary(rng, spread=3)
         rho = rng.randrange(1, 60)
-        shift = (Fraction(rng.randrange(-8, 9), 4), Fraction(rng.randrange(-8, 9), 4))
-        want = brute_points(as_gram(f), shift, rho)
+        shift = (rng.randrange(-8, 9), rng.randrange(-8, 9), 4)
+        want = brute_points(as_gram(f), as_point(shift), rho)
         assert count_ellipsoid_dim2(f, shift, rho) == len(want)
         got = enumerate_ellipsoid_dim2(f, shift, rho)
         assert sorted(got) == sorted(want)
@@ -195,7 +201,34 @@ def test_count_and_enumerate_ellipsoid_dim2():
 
 def test_count_ellipsoid_budget():
     with pytest.raises(BudgetError):
-        count_ellipsoid_dim2(BinaryQF(1, 0, 1), (0, 0), 10**9, budget=100)
+        count_ellipsoid_dim2(BinaryQF(1, 0, 1), (0, 0, 1), 10**9, budget=100)
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_coset_shift_denominator_must_be_positive(d):
+    f, rng = BinaryQF(2, 1, 3), random.Random(0)
+    for call in (lambda: count_ellipsoid_dim2(f, (1, 1, d), 40),
+                 lambda: enumerate_ellipsoid_dim2(f, (1, 1, d), 40),
+                 lambda: sample_ellipsoid_coset_dim2(f, (1, 1, d), 40, rng)):
+        with pytest.raises(ValidationError, match="denominator"):
+            call()
+
+
+def test_coset_shift_need_not_be_in_lowest_terms():
+    # the row box depends on the point only, so (15, -18, 45) gives the
+    # points and the draws of (5, -6, 15), both rows-scanned and, at
+    # rho = 3000, box-sampled
+    f = BinaryQF(7, 13, 11)
+    for rho in (0, 45, 300, 3000):
+        want = sorted(brute_points(as_gram(f), (Fraction(1, 3), Fraction(-2, 5)), rho))
+        draws = []
+        for shift in ((5, -6, 15), (15, -18, 45)):
+            assert count_ellipsoid_dim2(f, shift, rho) == len(want)
+            assert sorted(enumerate_ellipsoid_dim2(f, shift, rho)) == want
+            rng = random.Random(rho)
+            draws.append([sample_ellipsoid_coset_dim2(f, shift, rho, rng) for _ in range(20)])
+        assert draws[0] == draws[1]
+    assert coset_box_rows(f, (15, -18, 45), 3000) > lattice._FEW_ROWS
 
 
 def chi2_z(counts, draws):
@@ -213,12 +246,12 @@ def coset_box_rows(f, shift, rho):
 
 def test_sample_ellipsoid_coset_dim2():
     f = BinaryQF(2, 1, 3)
-    shift = (Fraction(1, 3), Fraction(-1, 3))
+    shift = (1, -1, 3)
     # rho = 40 is drawn from the stored rows, rho = 800 (34 rows, one set
     # past the row cutoff) by accepting points of the row box
     for rho, few in ((40, True), (800, False)):
         assert (coset_box_rows(f, shift, rho) <= lattice._FEW_ROWS) == few
-        pts = brute_points(as_gram(f), shift, rho)
+        pts = brute_points(as_gram(f), as_point(shift), rho)
         rng = random.Random(27)
         counts = {p: 0 for p in pts}
         draws = 20 * len(pts)
@@ -237,7 +270,7 @@ def test_sample_ellipsoid_coset_dim2_thin():
     # rho ~ 1.2e14, so a sampler padded by the covering radius would accept
     # about one try in 10^7
     f = BinaryQF(143591459, 143591459, 42600257174205)
-    shift = (Fraction(10043973, 13053769), Fraction(-20087946, 13053769))
+    shift = (10043973, -20087946, 13053769)
     rho = 118145975755924
     assert coset_box_rows(f, shift, rho) == 4
     assert count_ellipsoid_dim2(f, shift, rho) == 5022

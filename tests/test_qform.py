@@ -10,7 +10,7 @@ import random
 import pytest
 
 from quatpath import arith
-from quatpath.errors import ValidationError
+from quatpath.errors import BudgetError, ValidationError
 from quatpath.qform import (
     BinaryQF,
     class_group,
@@ -23,7 +23,12 @@ from quatpath.qform import (
     sample_prime_large,
 )
 
-from oracles import genus_representation_count, genus_residues, representation_count
+from oracles import (
+    genus_representation_count,
+    genus_residues,
+    representation_count,
+    run_under_python_O,
+)
 
 FUND_DISCS = [-3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -35, -39, -40, -47]
 
@@ -313,3 +318,56 @@ def test_sample_prime_large_window():
         assert rho <= val <= rho * rho and arith.is_prime(val)
     with pytest.raises(ValidationError):
         sample_prime_large(f2, 1, rng)
+
+
+def test_cornacchia_root_cap():
+    # z, a product of 17 primes 1 mod 4, has 2^18 square roots of -4 mod 4z
+    primes = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101, 109, 113, 137, 149, 157]
+    fz = arith.Factorization(tuple((q, 1) for q in primes), 1)
+    with pytest.raises(BudgetError, match="square-root count"):
+        cornacchia(BinaryQF(1, 0, 1), fz.value(), fz)
+
+
+def postcondition_under_python_O(patch, call):
+    """What call prints under python -O after patch: its value or its
+    AssertionError."""
+    run = run_under_python_O(f"""
+from quatpath import qform
+from quatpath.arith import Factorization
+{patch}
+try:
+    print("returned", {call})
+except AssertionError as e:
+    print("AssertionError:", e)
+""")
+    assert run.returncode == 0, run.stderr
+    return run.stdout.strip()
+
+
+def test_reduce_form_postcondition_holds_under_python_O():
+    # a reduction whose transform misses the reduced form raises, asserts
+    # compiled away or not
+    got = postcondition_under_python_O(
+        "qform.lattice.reduce_binary = lambda a, b, c: ((a, b, c), ((1, 0), (1, 1)))",
+        "qform.reduce_form(qform.BinaryQF(1, 0, 1))")
+    assert got == "AssertionError: postcondition failed: f o m is the reduced form"
+
+
+def test_compose_postcondition_holds_under_python_O():
+    # so does a composition off a concordant pair with the wrong C
+    got = postcondition_under_python_O(
+        "conc = qform._concordant\n"
+        "qform._concordant = lambda f1, f2: (lambda a1, a2, B, C, m1, m2: "
+        "(a1, a2, B, C + 1, m1, m2))(*conc(f1, f2))",
+        "qform.compose_with_coords(qform.BinaryQF(2, 1, 3), (1, 1), qform.BinaryQF(2, -1, 3), (1, 0))")
+    assert got == ("AssertionError: postcondition failed: "
+                   "the composed form represents f1(v1) * f2(v2)")
+
+
+def test_cornacchia_postcondition_holds_under_python_O():
+    # and a representation read off a wrong reduction transform
+    got = postcondition_under_python_O(
+        "rf = qform.reduce_form\n"
+        "qform.reduce_form = lambda g: (rf(g)[0], ((1, 0), (0, 1)))",
+        "qform.cornacchia(qform.BinaryQF(1, 0, 1), 5, Factorization(((5, 1),), 1))")
+    assert got == "AssertionError: postcondition failed: f(s, t) = z"

@@ -2,16 +2,11 @@
 
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import quatpath
 from quatpath import arith, klpt, linalg, quat
 from quatpath.arith import Factorization
 from quatpath.errors import ValidationError
@@ -27,6 +22,8 @@ from quatpath.quat import (
     right_order,
     special_order,
 )
+
+from oracles import run_under_python_O
 
 PRIMES = [13, 37, 97, 101, 103, 1019]
 
@@ -596,10 +593,7 @@ def test_equivalence_postcondition_raises_under_optimize():
     # reduced norm is not one, as if it were a norm-one vector.
     o0 = special_order(construct_algebra(103)).order
     assert o0.q_gram().value_int((1, 0, 0, 0)) != 1
-    src = str(Path(quatpath.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    script = """
+    out = run_under_python_O("""
 from quatpath import lattice, quat
 o0 = quat.special_order(quat.construct_algebra(103)).order
 lattice.enumerate_by_value = lambda form, bound, lower=1: iter([((1, 0, 0, 0), 1)])
@@ -607,9 +601,7 @@ try:
     print("returned", quat.ideal_equivalence_test(o0, o0))
 except AssertionError as e:
     print("AssertionError:", e)
-"""
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, timeout=120)
+""")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == (
         "AssertionError: postcondition failed: i1 * gamma / N(i1) = i2")
