@@ -3,8 +3,10 @@
 The solver works in stages.  sample_az_plus_bg draws uniform solutions of
 a*z + b*g(x,y) = n with z > 0 by splitting the congruence b*g = n mod a
 into square-root classes and sampling the translated sublattice inside the
-ellipsoid g <= (n-a)/b.  solve_master wraps this in two layers of class
-group randomization so that the prime z-candidates it keeps can always be
+ellipsoid g <= (n-a)/b; everything but the draw depends only on
+(a, b, n, g), so that set-up is built once and drawn from as often as
+needed.  solve_master wraps this in two layers of class group
+randomization so that the prime z-candidates it keeps can always be
 pulled back to the target form f by Gauss composition: a right-hand layer
 that moves g around its genus (trading a divisor d of the helper bound B
 for a d^2 scaling), and a left-hand layer that replaces f(s,t) by
@@ -12,10 +14,11 @@ det(rho)^2 * z for a crafted transform rho whose determinant every class
 of disc(f) can reach.  Both layers read exact per-class divisor tables.
 The left layer takes one path for every class number: at h(f) = 1 its
 table makes rho the identity.  The right layer resolves each class once
-per solve_master call, and never composes for the principal class; past
-GENUS_ENUM_DISC_BOUND no table is built for disc(g), and it stays at the
-principal class.  represent_in_O0 feeds the special order's norm form
-through the same pipeline.
+per solve_master call, sets up the sampler once per resolved class, and
+never composes for the principal class; past GENUS_ENUM_DISC_BOUND no
+table is built for disc(g), and it stays at the principal class.
+represent_in_O0 feeds the special order's norm form through the same
+pipeline.
 
 Local solvability at each prime r of det(gamma) is one Legendre symbol on
 the value of f at the image line of gamma mod r; mod |disc f| it is read
@@ -89,7 +92,22 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
     The root class is chosen uniformly among the 2^omega(a) square-root
     classes, and the point uniformly within the chosen class; empty
     classes fall through to the remaining ones so a solution is found
-    whenever one exists.
+    whenever one exists.  This is one draw of the sampler that
+    _az_plus_bg_sampler prepares.
+    """
+    draw = _az_plus_bg_sampler(a, b, n, g, fa)
+    return None if draw is None else draw(rng)
+
+
+def _az_plus_bg_sampler(a, b, n, g, fa):
+    """draw(rng) for sample_az_plus_bg(a, b, n, g, fa, rng), or None when
+    b*g(x, y) = n (mod a) has no solution.
+
+    The validation, the transform to a leading coefficient prime to a, the
+    root classes and the sublattice form are computed here once; each root
+    class's coset sampler is built the first time a draw reaches it.  Each
+    draw shuffles a fresh copy of the root-class offsets, so its rng draws
+    are those of a one-shot call.
     """
     if a < 1 or b < 1 or n < 1:
         raise ValidationError("a, b, n must be positive")
@@ -122,20 +140,27 @@ def sample_az_plus_bg(a, b, n, g, fa, rng):
     inv2a = arith.inv_mod(2 * gt.a, a)
     shear = (-gt.b * inv2a) % a
     offsets = [(w0 * inv2a) % a for w0 in roots]
-    rng.shuffle(offsets)
     sub = gt.transform(((a, shear), (0, 1)))
+    cosets = {}  # x0 -> its coset sampler, built on first use
 
-    for x0 in offsets:
-        pt = lattice.sample_ellipsoid_coset_dim2(sub, (x0, 0, a), rho, rng)
-        if pt is None:
-            continue
-        v = (pt[0] * a + pt[1] * shear + x0, pt[1])
-        x, y = qform._apply(m, v)
-        val = g.value(x, y)
-        z, rem = divmod(n - b * val, a)
-        _ensure(rem == 0 and z > 0 and a * z + b * val == n, "a*z + b*g(x, y) = n, z > 0")
-        return z, x, y
-    raise BudgetError("empty solution set: no admissible point with z > 0")
+    def draw(rng):
+        order = offsets.copy()
+        rng.shuffle(order)
+        for x0 in order:
+            if x0 not in cosets:
+                cosets[x0] = lattice.coset_sampler_dim2(sub, (x0, 0, a), rho)
+            pt = cosets[x0](rng)
+            if pt is None:
+                continue
+            v = (pt[0] * a + pt[1] * shear + x0, pt[1])
+            x, y = qform._apply(m, v)
+            val = g.value(x, y)
+            z, rem = divmod(n - b * val, a)
+            _ensure(rem == 0 and z > 0 and a * z + b * val == n, "a*z + b*g(x, y) = n, z > 0")
+            return z, x, y
+        raise BudgetError("empty solution set: no admissible point with z > 0")
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +443,8 @@ def lift_genus_solution(inst, sol):
 
     f1, w1 = qform.compose_with_coords(k_form, wit, k_form, wit)
     f2, w2 = qform.compose_with_coords(f1, w1, h, co)
-    assert f2 == inst.f and inst.f.value(*w2) == d * d * ell
+    # f(w2) = d^2*l is the final check below, times det(gamma)^2 (b0/d)^2
+    _ensure(f2 == inst.f, "the composition back to f lands on f")
     scale = inst.b0 // d
     s, t = w2[0] * scale, w2[1] * scale
 
@@ -438,6 +464,8 @@ def solve_master(inst, rng):
     z = u mod |disc f|, compose back to g, lift to f.  h and the window
     fit b*d^2*h.a <= n - a are resolved once per class drawn; a class that
     does not fit falls back to the principal class, d = 1 and h = g reduced.
+    The sampler's set-up for a resolved class is built on its first attempt
+    and drawn from on every later one, so an attempt costs one draw.
     Raises ValidationError on a local obstruction and BudgetError when the
     attempt budget runs out.
     """
@@ -467,6 +495,9 @@ def solve_master(inst, rng):
     # window resolves to it (then k != the class drawn)
     fallback = (principal, 1, (1, 0), g_red)
     resolved = {principal: fallback}
+    # resolved class k -> the sampler of a*z + (b*d^2)*h = n, set up once;
+    # a set-up that raises is not kept and is tried again next attempt
+    prepared = {}
     # past GENUS_ENUM_DISC_BOUND there is no per-class table to draw a
     # class from, so every attempt uses the principal entry, the same h
     # and the same few cosets; a short budget covers them fully
@@ -486,8 +517,11 @@ def solve_master(inst, rng):
             if k_form != cls:
                 stats["divisor_infeasible"] += 1
         try:
-            res = sample_az_plus_bg(inst.a, inst.b * d * d, inst.n, h,
-                                    inst.a_fac, rng)
+            if k_form not in prepared:
+                prepared[k_form] = _az_plus_bg_sampler(inst.a, inst.b * d * d,
+                                                       inst.n, h, inst.a_fac)
+            draw = prepared[k_form]
+            res = None if draw is None else draw(rng)
         except BudgetError:
             stats["empty_window"] += 1
             if stuck:

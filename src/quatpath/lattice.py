@@ -305,17 +305,17 @@ def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list
     ]
 
 
-def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
-    """Uniform sample from {x in Z^2 : f(x + (q1, q2)/d) <= rho}, shift =
-    (q1, q2, d), or None if empty.
+def coset_sampler_dim2(form, shift, rho: int):
+    """draw(rng): uniform samples from {x in Z^2 : f(x + (q1, q2)/d) <= rho},
+    shift = (q1, q2, d), each None if the set is empty.
 
     Works over a reduced basis, whose box (_box) has R rows, each holding
-    fewer than W points; R is known before any row is read.  With
-    R <= _FEW_ROWS it scans the rows once and draws one of their points
-    uniformly, or returns None.  Past that it draws a box row x2 and an
-    offset k in [0, W) uniformly and accepts (lo + k, x2) when
-    lo + k <= hi: every point has the same chance 1/(R*W) per try, so the
-    draw is exact.
+    fewer than W points.  The reduction and the box are computed here once,
+    and so, for R <= _FEW_ROWS, are the rows and their point count; each
+    draw then picks one of those points uniformly.  Past that a draw picks
+    a box row x2 and an offset k in [0, W) uniformly and accepts
+    (lo + k, x2) when lo + k <= hi: every point has the same chance
+    1/(R*W) per try, so the draw is exact.
 
     Acceptance bound.  Reduced means |b| <= a <= c, so disc4 = 4ac - b^2
     >= 3ac >= 3a^2 and R - 1 <= 4*sqrt(a*rho/disc4) <= (2/sqrt3)*L, where
@@ -326,29 +326,44 @@ def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
     accepts with probability at least
     ((sqrt3/2)(R - 1) - 1)(L/2 - 1) / (R(L + 2)), which increases in R
     and L and exceeds 1/3 for every R > _FEW_ROWS = 32; in particular the
-    set is not empty.  Raises BudgetError after _ROW_TRIES tries.
+    set is not empty.  A draw raises BudgetError after _ROW_TRIES tries.
     """
     (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
     if rho < 0:
-        return None
+        return lambda rng: None
     xs, w = _box(a, b, c, p2, d, rho)
     if len(xs) <= _FEW_ROWS:
         rows = list(_rows(a, b, c, p1, p2, d, rho))
         total = sum(hi - lo + 1 for _, lo, hi in rows)
         if total == 0:
-            return None
-        k = rng.randrange(total)
-        for x2, lo, hi in rows:
-            if lo + k <= hi:
-                return _to_input((lo + k, x2), u)
-            k -= hi - lo + 1
-    for _ in range(_ROW_TRIES):
-        x2 = xs[rng.randrange(len(xs))]
-        lo, hi = _row(a, b, c, p1, p2, d, rho, x2)
-        x1 = lo + rng.randrange(w)
-        if x1 <= hi:
-            return _to_input((x1, x2), u)
-    raise BudgetError(f"coset sampler: no point accepted in {_ROW_TRIES} tries")
+            return lambda rng: None
+
+        def draw_stored(rng: random.Random):
+            k = rng.randrange(total)
+            for x2, lo, hi in rows:
+                if lo + k <= hi:
+                    return _to_input((lo + k, x2), u)
+                k -= hi - lo + 1
+
+        return draw_stored
+
+    def draw(rng: random.Random):
+        for _ in range(_ROW_TRIES):
+            x2 = xs[rng.randrange(len(xs))]
+            lo, hi = _row(a, b, c, p1, p2, d, rho, x2)
+            x1 = lo + rng.randrange(w)
+            if x1 <= hi:
+                return _to_input((x1, x2), u)
+        raise BudgetError(f"coset sampler: no point accepted in {_ROW_TRIES} tries")
+
+    return draw
+
+
+def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
+    """One draw of coset_sampler_dim2(form, shift, rho): a uniform point of
+    {x in Z^2 : f(x + (q1, q2)/d) <= rho}, shift = (q1, q2, d), or None if
+    that set is empty."""
+    return coset_sampler_dim2(form, shift, rho)(rng)
 
 
 def ellipsoid_sampler(form: GramForm, rho: int):

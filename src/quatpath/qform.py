@@ -8,6 +8,7 @@ in a window [rho, rho^2] of a positive definite form of any rank.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -324,8 +325,17 @@ class ClassGroup:
         return self._index[reduce_form(self.forms[i].opposite())[0]]
 
 
+# Class groups kept for reuse: equation_instance reads the class group of
+# the same disc(f) for every target n.
+_CLASS_GROUP_CACHE = 16
+
+
+@functools.lru_cache(maxsize=_CLASS_GROUP_CACHE)
 def class_group(D: int) -> ClassGroup:
-    """Enumerate all reduced primitive forms of discriminant D, |D| <= 10^7."""
+    """Enumerate all reduced primitive forms of discriminant D, |D| <= 10^7.
+
+    Memoised on D: a repeat call returns the same, immutable ClassGroup.
+    """
     _check_disc(D)
     if abs(D) > 10**7:
         raise BudgetError(f"|D| = {abs(D)} over the enumeration bound 10^7")

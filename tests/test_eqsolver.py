@@ -145,6 +145,43 @@ def test_sampler_coset_marginal_uniform():
     assert stat < chi2_critical(len(pts) - 1), stat
 
 
+def draws_or_budget(draw, k):
+    """k draws, each a solution or "BudgetError"."""
+    out = []
+    for _ in range(k):
+        try:
+            out.append(draw())
+        except BudgetError:
+            out.append("BudgetError")
+    return out
+
+
+def test_prepared_sampler_draws_as_one_shot_calls():
+    # a = 35 has four root classes, the class of (z, x, y) being 2x mod 35.
+    # A sampler prepared once and drawn k times gives the solutions, the
+    # fall-through over empty cosets and the BudgetErrors of k one-shot
+    # calls on the same rng, and leaves the rng in the same state.  The
+    # windows hold no class (n = 81), two of the four (109), all four
+    # (1009), and all four in cosets of 57 box rows (10^6 + 1).
+    g = qform.BinaryQF(1, 0, 1).transform(((1, 0), (0, 35)))
+    fa = Factorization(((5, 1), (7, 1)), 1)
+    for n, classes in ((81, 0), (109, 2), (1009, 4), (10**6 + 1, 4)):
+        assert len(arith.sqrt_mod_factored((4 * n) % 35, fa.factors)) == 4
+        rng1, rng2 = random.Random(n), random.Random(n)
+        draw = eqsolver._az_plus_bg_sampler(35, 1, n, g, fa)
+        prepared = draws_or_budget(lambda: draw(rng1), 60)
+        assert prepared == draws_or_budget(
+            lambda: sample_az_plus_bg(35, 1, n, g, fa, rng2), 60)
+        assert rng1.getstate() == rng2.getstate()
+        sols = [sol for sol in prepared if sol != "BudgetError"]
+        assert len(sols) == (60 if classes else 0)
+        assert len({(2 * x) % 35 for _, x, _ in sols}) == classes
+    # no root class: both report the local obstruction with None
+    g5, fa5 = qform.BinaryQF(5, 0, 7), Factorization(((5, 1),), 1)
+    assert eqsolver._az_plus_bg_sampler(5, 1, 11, g5, fa5) is None
+    assert sample_az_plus_bg(5, 1, 11, g5, fa5, random.Random(0)) is None
+
+
 def test_sampler_rejects_bad_inputs():
     rng = random.Random(4)
     g = qform.BinaryQF(5, 0, 7)
@@ -411,13 +448,21 @@ def test_master_nontrivial_gamma():
 
 def count_master_work(monkeypatch, run):
     """Attempts, classes drawn and forms composed by solve_master itself
-    (not by the lift after the last attempt) during run()."""
-    attempts, drawn, composed = [], set(), []
-    sample, draw, compose = sample_az_plus_bg, genus_randomizer_B, qform.compose
+    (not by the lift after the last attempt) during run(), and the
+    arguments of every sampler set-up it built.  An attempt is one draw
+    from a prepared sampler."""
+    attempts, drawn, composed, prepared = [], set(), [], []
+    prepare, draw, compose = eqsolver._az_plus_bg_sampler, genus_randomizer_B, qform.compose
 
-    def counting_sample(*args):
-        attempts.append(args)
-        return sample(*args)
+    def counting_prepare(*args):
+        prepared.append(args)
+        sample = prepare(*args)
+
+        def counting_sample(rng):
+            attempts.append(args)
+            return sample(rng)
+
+        return None if sample is None else counting_sample
 
     def counting_draw(*args):
         out = draw(*args)
@@ -429,27 +474,45 @@ def count_master_work(monkeypatch, run):
             composed.append((f1, f2))
         return compose(f1, f2)
 
-    monkeypatch.setattr(eqsolver, "sample_az_plus_bg", counting_sample)
+    monkeypatch.setattr(eqsolver, "_az_plus_bg_sampler", counting_prepare)
     monkeypatch.setattr(eqsolver, "genus_randomizer_B", counting_draw)
     monkeypatch.setattr(qform, "compose", counting_compose)
     run()
-    return len(attempts), drawn, len(composed)
+    return len(attempts), drawn, len(composed), prepared
 
 
 def test_master_composes_once_per_class_drawn(monkeypatch):
     # disc g = -4 has one class: the principal entry is seeded, so no
     # attempt composes
     alg = quat.construct_algebra(103)
-    attempts, drawn, composed = count_master_work(
+    attempts, drawn, composed, _ = count_master_work(
         monkeypatch, lambda: represent_in_O0(alg, 1000037, random.Random(0)))
     assert attempts >= 20 and len(drawn) == 1 and composed == 0
     # disc g = -34983 has 72 classes: h = [k^-2 g] is composed the first
     # time a class is drawn, never again
     inst = equation_instance(qform.BinaryQF(2, 1, 3), ID2, 1, 100000007)
-    attempts, drawn, composed = count_master_work(
+    attempts, drawn, composed, _ = count_master_work(
         monkeypatch, lambda: check_master(inst, random.Random(3)))
     assert len(drawn) < attempts
     assert composed <= 2 * len(drawn)
+
+
+def test_master_prepares_once_per_class_drawn(monkeypatch):
+    # disc g = -34983 has 72 classes: the sampler of a*z + (b*d^2)*h = n is
+    # set up at most once per class drawn and per solve_master call, never
+    # twice for one (b*d^2, h), and every later attempt only draws
+    inst = equation_instance(qform.BinaryQF(2, 1, 3), ID2, 1, 100000007)
+    total_attempts = total_prepared = 0
+    for seed in range(6):
+        calls = []
+        attempts, drawn, _, prepared = count_master_work(
+            monkeypatch, lambda: calls.append(solve_master(inst, random.Random(seed))))
+        assert len(calls) == 1
+        assert 1 <= len(prepared) <= len(drawn) <= attempts
+        assert len({(b, h) for _, b, _, h, _ in prepared}) == len(prepared)
+        total_attempts += attempts
+        total_prepared += len(prepared)
+    assert total_prepared < total_attempts
 
 
 def test_master_local_obstruction_no_admissible_u():
@@ -770,7 +833,7 @@ eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0
 def test_sampler_postcondition_holds_under_python_O():
     # nor a point outside the window from the coset sampler
     run = run_under_python_O(O_HEADER + """
-eqsolver.lattice.sample_ellipsoid_coset_dim2 = lambda *args: (10**6, 0)
+eqsolver.lattice.coset_sampler_dim2 = lambda *args: lambda rng: (10**6, 0)
 eqsolver.sample_az_plus_bg(47, 1, 100007, qform.BinaryQF(5, 4, 29),
                            Factorization(((47, 1),), 1), random.Random(0))
 """)
@@ -794,6 +857,28 @@ eqsolver.lift_genus_solution(eqsolver.equation_instance(qform.BinaryQF(1, 0, 1),
 """)
     assert run.returncode != 0
     assert "postcondition failed: det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n" in run.stderr
+
+
+def test_lift_form_postcondition_holds_under_python_O():
+    # nor a lift whose compositions land on a form of f's class other than
+    # f, with coordinates that represent the right values on it
+    run = run_under_python_O(O_HEADER + """
+import sys
+inst = eqsolver.equation_instance(qform.BinaryQF(1, 0, 1), ((1, 0), (0, 1)), 103, 1000033)
+cwc = qform.compose_with_coords
+
+def sheared(*args):
+    form, w = cwc(*args)
+    if sys._getframe(1).f_code.co_name != "lift_genus_solution":
+        return form, w
+    t = ((1, 1), (0, 1))
+    return form.transform(t), qform._apply(qform._inv2(t), w)
+
+qform.compose_with_coords = sheared
+eqsolver.lift_genus_solution(inst, (1000033, 0, 0))
+""")
+    assert run.returncode != 0
+    assert "postcondition failed: the composition back to f lands on f" in run.stderr
 
 
 def test_master_pull_back_postcondition_holds_under_python_O():

@@ -9,12 +9,16 @@ of them.  Long outputs are pinned by a digest of their repr, short ones
 literally.
 """
 
+import ast
 import hashlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from quatpath import arith, eqsolver, klpt, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
+from quatpath.errors import BudgetError
 from quatpath.qform import BinaryQF
 
 
@@ -74,6 +78,35 @@ def test_solve_master_multi_class_pinned():
         inst = eqsolver.equation_instance(BinaryQF(*f), ((1, 0), (0, 1)), b, n)
         got.append([eqsolver.solve_master(inst, random.Random(seed)) for seed in range(6)])
     assert got == GOLDEN_MASTER
+
+
+# solve_master with gamma of determinant 5: a = 25 has two root classes, so
+# every attempt shuffles and walks several coset offsets.
+GOLDEN_MASTER_GAMMA = [(26, -35, 333, -17), (350, -389, -69, 35), (494, -11, -199, 25),
+                       (-227, 298, 249, 1)]
+
+
+def test_solve_master_gamma_pinned():
+    inst = eqsolver.equation_instance(BinaryQF(1, 0, 1), ((1, 2), (0, 5)), 103, 10**7 + 3)
+    got = [eqsolver.solve_master(inst, random.Random(seed)) for seed in range(4)]
+    assert got == GOLDEN_MASTER_GAMMA
+
+
+# At p = 1873 and n = 10007 the left divisor bound b0 = 39 makes a = 1521,
+# and the window n - a = 8486 holds only h-values up to 4 at b = 1873: all
+# 4000 attempts come back empty, and the stats witness each of them,
+# including the 3939 classes drawn whose window fit fell back to the
+# principal class.
+GOLDEN_MASTER_EXHAUSTED = {"empty_window": 4000, "z_composite": 0, "z_residue": 0,
+                           "divisor_infeasible": 3939}
+
+
+def test_represent_in_O0_exhausted_pinned():
+    alg = quat.construct_algebra(1873)
+    with pytest.raises(BudgetError) as err:
+        eqsolver.represent_in_O0(alg, arith.next_prime(10**4), random.Random(0))
+    stats = ast.literal_eval(str(err.value).partition("stats ")[2])
+    assert stats == GOLDEN_MASTER_EXHAUSTED
 
 
 # ---------------------------------------------------------------------------

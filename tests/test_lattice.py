@@ -265,6 +265,22 @@ def test_sample_ellipsoid_coset_dim2():
     assert sample_ellipsoid_coset_dim2(f, shift, 0, rng) is None
 
 
+def test_prepared_coset_sampler_draws_as_one_shot_calls():
+    # a sampler prepared once and drawn k times gives the points of k
+    # one-shot calls on the same rng: from the stored rows (rho = 40), by
+    # row-box acceptance (rho = 800) and from an empty coset (rho = 0, -1)
+    f = BinaryQF(2, 1, 3)
+    shift = (1, -1, 3)
+    assert coset_box_rows(f, shift, 40) <= lattice._FEW_ROWS < coset_box_rows(f, shift, 800)
+    for rho in (40, 800, 0, -1):
+        draw = lattice.coset_sampler_dim2(f, shift, rho)
+        rng1, rng2 = random.Random(rho), random.Random(rho)
+        prepared = [draw(rng1) for _ in range(50)]
+        assert prepared == [sample_ellipsoid_coset_dim2(f, shift, rho, rng2) for _ in range(50)]
+        assert rng1.getstate() == rng2.getstate()
+        assert (prepared == [None] * 50) == (rho <= 0)
+
+
 def test_sample_ellipsoid_coset_dim2_thin():
     # a thin ellipse: 4 rows but 5022 points, and disc4 ~ 2.4e22 dwarfs
     # rho ~ 1.2e14, so a sampler padded by the covering radius would accept

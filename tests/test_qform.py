@@ -166,6 +166,13 @@ def test_compose_with_coords_value_identity():
             assert h.value(*w) == f1.value(*v1) * f2.value(*v2)
 
 
+def test_class_group_is_memoised():
+    # equation_instance reads the class group of one disc(f) for every
+    # target, so a repeat call returns the same immutable object
+    assert class_group(-34983) is class_group(-34983)
+    assert class_group.cache_info().maxsize == 16  # bounded across targets
+
+
 def test_class_group_axioms():
     for D in [-23, -47, -84, -95, -120]:
         cg = class_group(D)
