@@ -1,9 +1,8 @@
 """Exact integer and residue arithmetic primitives.
 
 Everything here works on plain Python ints (arbitrary precision) and is
-deterministic: the random rounds of is_prime and of Pollard rho draw
-from an rng seeded by n.  No floats anywhere: callers rely on exact
-answers.
+deterministic: the random rounds of is_prime draw from an rng seeded
+by n.  No floats anywhere: callers rely on exact answers.
 """
 
 from __future__ import annotations
@@ -298,15 +297,6 @@ class Factorization:
     def primes(self) -> list[int]:
         return [p for p, _ in self.factors]
 
-    def divisors(self) -> list[int]:
-        """All divisors; requires a complete factorization."""
-        if not self.complete:
-            raise ValueError("divisors() needs a complete factorization")
-        divs = [1]
-        for p, e in self.factors:
-            divs = [d * p**i for d in divs for i in range(e + 1)]
-        return sorted(divs)
-
     @staticmethod
     def from_dict(d: dict[int, int], cofactor: int = 1) -> "Factorization":
         items = tuple(sorted((p, e) for p, e in d.items() if e > 0))
@@ -317,51 +307,16 @@ class Factorization:
         return Factorization(((p, e),), 1) if e > 0 else Factorization((), 1)
 
 
-def _pollard_rho(n: int, budget: int, rng: random.Random) -> int | None:
-    """Brent-cycle Pollard rho; returns a nontrivial factor or None."""
-    if n % 2 == 0:
-        return 2
-    spent = 0
-    while spent < budget:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g, r, q = 1, 1, 1
-        x = ys = y
-        while g == 1 and spent < budget:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                spent += min(m, r - k)
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-                spent += 1
-        if 1 < g < n:
-            return g
-    return None
-
-
 def factor_bounded(n: int) -> Factorization:
-    """Factor n by trial division up to 10^6, then Pollard rho.
+    """Factor n by trial division up to 10^6.
 
-    Never fails: whatever resists 10^7 rho steps lands in the cofactor.
-    The invariant prod(p^e) * cofactor == n always holds.
+    Never fails: the part left over is recorded as a prime when it is
+    below 10^12, where trial division proved it prime, or passes
+    is_prime, and lands in the cofactor otherwise.  The invariant
+    prod(p^e) * cofactor == n always holds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(0x5EED ^ (n & 0xFFFFFFFF))
     found: dict[int, int] = {}
     rem = n
     for p in (2, 3, 5):
@@ -378,32 +333,15 @@ def factor_bounded(n: int) -> Factorization:
         d += step
         step = 6 - step
     if rem > 1 and (rem < 10**12 or is_prime(rem)):
-        # trial division proved rem prime, or a direct test did
         found[rem] = found.get(rem, 0) + 1
         rem = 1
-    # rho phase on the remaining composite part
-    stack = [rem] if rem > 1 else []
-    cofactor = 1
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            found[m] = found.get(m, 0) + 1
-            continue
-        g = _pollard_rho(m, 10**7, rng)
-        if g is None:
-            cofactor *= m
-            continue
-        stack.append(g)
-        stack.append(m // g)
-    return Factorization.from_dict(found, cofactor)
+    return Factorization.from_dict(found, rem)
 
 
 def factor_completely(n: int) -> Factorization:
-    """Full factorization; raises if the rho budget is exhausted."""
+    """Full factorization; raises ValueError when factor_bounded leaves a
+    cofactor, a composite whose prime factors all exceed 10^6."""
     f = factor_bounded(n)
     if not f.complete:
-        raise ValueError(f"could not fully factor {n} within budget")
+        raise ValueError(f"could not fully factor {n} by trial division")
     return f
-

@@ -64,9 +64,6 @@ MASTER_STUCK_ATTEMPTS = 200
 # Cap for the prime scan that fills a class divisor table.
 _TABLE_PRIME_CAP = 1_000_000
 
-_ID2 = ((1, 0), (0, 1))
-
-
 def _content2(m) -> int:
     return math.gcd(math.gcd(abs(m[0][0]), abs(m[0][1])),
                     math.gcd(abs(m[1][0]), abs(m[1][1])))
@@ -202,7 +199,7 @@ def _class_divisor_table(D, m):
                 continue
             red, mt = qform.reduce_form(fr)
             wit = qform._apply(qform._inv2(mt), (1, 0))
-            assert red.value(*wit) == r
+            _ensure(red.value(*wit) == r, "each table witness represents its divisor")
             entries[i] = (r, wit)
             missing -= 1
             break  # one prime serves one class; keeps the d_i distinct
@@ -278,7 +275,7 @@ def _craft_left_transform(g_gamma, b0, primes, b, n):
     take every nonzero class, so the aim always exists.
     """
     if b0 == 1:
-        return _ID2
+        return qform._ID2
     residues = []
     for r in primes:
         want = arith.kronecker((n * arith.inv_mod(b, r)) % r, r)
@@ -292,7 +289,8 @@ def _craft_left_transform(g_gamma, b0, primes, b, n):
             if math.gcd(x, y) == 1:
                 _, u, v = arith.xgcd(x, y)
                 rho = ((v * b0, x), (-u * b0, y))
-                assert _det2(rho) == b0 and _content2(rho) == 1
+                _ensure(_det2(rho) == b0 and _content2(rho) == 1,
+                        "rho has determinant b0 and content 1")
                 return rho
     raise BudgetError("no primitive image vector found for rho")
 
@@ -342,7 +340,7 @@ def equation_instance(f, gamma, b, n, det_fac=None):
         afac[r] = afac.get(r, 0) + 2 * k
     a_fac = Factorization.from_dict(afac)
     g = g_gamma.transform(rho)
-    assert g.disc == a * f.disc
+    _ensure(g.disc == a * f.disc, "disc(g) = a * disc(f)")
 
     chi_mod = abs(f.disc)
     if chi_mod * chi_mod > 10**6:
@@ -580,7 +578,7 @@ def represent_in_O0(alg, n, rng):
     if n1 == 1:
         out = alg.one
     else:
-        inst = equation_instance(so.f, _ID2, p, n1,
+        inst = equation_instance(so.f, qform._ID2, p, n1,
                                  det_fac=Factorization((), 1))
         s, t, x, y = solve_master(inst, rng)
         out = so.embed(s, t, x, y)

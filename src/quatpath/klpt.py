@@ -16,7 +16,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import arith, eqsolver, lattice, linalg, quat
+from . import arith, eqsolver, lattice, linalg, qform, quat
 from .arith import Factorization
 from .errors import BudgetError, ValidationError, _ensure
 
@@ -34,31 +34,25 @@ THETA_BOUND = 4
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """A walk plan: the total norm and the per-step prime sequence.
-
-    steps must multiply out to exactly the factored norm; the primes may
-    be interleaved in any order.
-    """
+    """A walk plan: the factored total norm, walked one prime step at a
+    time in factor order."""
 
     norm: Factorization
-    steps: tuple
 
     def __post_init__(self):
         if not isinstance(self.norm, Factorization) or not self.norm.complete:
             raise ValidationError("walk norm needs a complete factorization")
-        want = {p: e for p, e in self.norm.factors}
-        if dict(Counter(self.steps)) != want:
-            raise ValidationError("steps must realize the factored norm")
-        for p in want:
+        for p, _ in self.norm.factors:
             if not arith.is_prime(p):
                 raise ValidationError("every walk step must be prime")
 
+    @property
+    def steps(self) -> tuple:
+        return tuple(p for p, e in self.norm.factors for _ in range(e))
+
     @staticmethod
     def from_norm(fac: Factorization) -> "WalkSpec":
-        steps = []
-        for p, e in fac.factors:
-            steps.extend([p] * e)
-        return WalkSpec(fac, tuple(steps))
+        return WalkSpec(fac)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +138,6 @@ def random_walk(ideal, spec, rng):
     order = quat.left_order(ideal)
     if not order.is_maximal_order():
         raise ValidationError("the left order of the ideal must be maximal")
-    if not spec.steps:
-        return ideal
     cur = ideal
     for ell in spec.steps:
         gram = cur.q_gram()
@@ -280,7 +272,7 @@ class KlptContext:
         _require(self.norm_rep.nrd() == n, "nrd(norm_rep)")
         b0, b1 = self.line_select
         g = self.coeff_lattice
-        _require(g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n), "det(coeff_lattice)")
+        _require(eqsolver._det2(g) in (n, -n), "det(coeff_lattice)")
         cols = linalg.hnf(((g[0][0], g[1][0]), (g[0][1], g[1][1])))
         want = linalg.hnf(((b0, b1), (n, 0), (0, n)))
         _require(tuple(cols) == tuple(want), "coeff_lattice spans line_select")
@@ -291,8 +283,7 @@ class KlptContext:
         f = so.f
         _require(n * n * f.value(s, t) + p * f.transform(g).value(x, y) == target,
                  "quadratic_sol")
-        xp = g[0][0] * x + g[0][1] * y
-        yp = g[1][0] * x + g[1][1] * y
+        xp, yp = qform._apply(g, (x, y))
         _require(self.combined == so.embed(n * s, n * t, xp, yp), "combined")
         _require(self.combined.nrd() == target, "nrd(combined)")
         prod = self.norm_rep * self.combined
@@ -365,8 +356,7 @@ def _coeff_columns(line, n):
     """Column matrix whose column lattice is Z*line + n*Z^2, det n."""
     h = linalg.hnf(((line[0], line[1]), (n, 0), (0, n)))
     g = ((h[0][0], h[1][0]), (h[0][1], h[1][1]))
-    _ensure(g[0][0] * g[1][1] - g[0][1] * g[1][0] in (n, -n),
-            "det of the coefficient columns is +-n")
+    _ensure(eqsolver._det2(g) in (n, -n), "det of the coefficient columns is +-n")
     return g
 
 
@@ -441,8 +431,7 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
         raise _RoundRetry("local obstruction") from None
     except BudgetError:
         raise _RoundRetry("norm window empty") from None
-    xp = g[0][0] * x + g[0][1] * y
-    yp = g[1][0] * x + g[1][1] * y
+    xp, yp = qform._apply(g, (x, y))
     combined = so.embed(n * s, n * t, xp, yp)
     connector = norm_rep * combined * wit * Fraction(1, n)
     out = quat.equiv_from_element(ideal, connector)

@@ -79,15 +79,6 @@ class GramForm:
         twice = sum(m[i][j] * a * b for i, a in enumerate(x) if a for j, b in enumerate(x) if b)
         return twice // 2
 
-    def disc(self) -> int:
-        """Parity-dependent discriminant: det(2G) up to sign and a half."""
-        d = linalg.det_bareiss(self.m)
-        r = self.rank
-        if r % 2 == 0:
-            return (-1) ** (r // 2) * d
-        # det(2G) is even at odd rank: 2G is alternating mod 2
-        return (-1) ** ((r + 1) // 2) * d // 2
-
     def transform(self, u) -> "GramForm":
         """The form on the basis with rows u (new = u * old): 2G' = u 2G u^T."""
         return GramForm._of(linalg.mat_mul(linalg.mat_mul(u, self.m), linalg.transpose(u)))

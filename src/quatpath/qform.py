@@ -158,7 +158,7 @@ def _coprime_leading_transform(f: BinaryQF, t: int):
         x, y = x // g, y // g
     _, u, v = arith.xgcd(x, y)
     m = ((x, -v), (y, u))
-    assert math.gcd(f.transform(m).a, t) == 1
+    _ensure(math.gcd(f.transform(m).a, t) == 1, "(f o m)(1, 0) is coprime to t")
     return m
 
 
@@ -182,8 +182,8 @@ def _concordant(f1: BinaryQF, f2: BinaryQF):
     C4 = B * B - D
     assert C4 % (4 * a1 * a2) == 0
     C = C4 // (4 * a1 * a2)
-    assert f1.transform(m1) == BinaryQF(a1, B, a2 * C)
-    assert f2.transform(m2) == BinaryQF(a2, B, a1 * C)
+    _ensure(f1.transform(m1) == BinaryQF(a1, B, a2 * C)
+            and f2.transform(m2) == BinaryQF(a2, B, a1 * C), "fi o mi is the concordant pair")
     return a1, a2, B, C, m1, m2
 
 

@@ -179,11 +179,17 @@ def test_factor_bounded_and_completely():
     assert f.factors == ((2, 10), (3, 4), (10007, 1))
 
 
-def test_factorization_divisors():
-    f = arith.factor_completely(360)
-    want = sorted(d for d in range(1, 361) if 360 % d == 0)
-    assert f.divisors() == want
-    assert arith.Factorization.of_prime_power(5, 3).divisors() == [1, 5, 25, 125]
+def test_factor_bounded_leaves_large_composite_in_cofactor():
+    # both primes lie past trial division's 10^6 and the product past 10^12
+    n = 1000003 * 1000033
+    f = arith.factor_bounded(n)
+    assert f.factors == () and f.cofactor == n and f.value() == n
+    assert not f.complete
+    with pytest.raises(ValueError, match="could not fully factor"):
+        arith.factor_completely(n)
+    # a prime past 10^12 is recorded as a prime
+    q = arith.next_prime(10**12)
+    assert arith.factor_bounded(6 * q).factors == ((2, 1), (3, 1), (q, 1))
 
 
 def test_factorization_from_dict():
@@ -193,3 +199,5 @@ def test_factorization_from_dict():
     g = arith.Factorization.from_dict({2: 1}, cofactor=77)
     assert not g.complete
     assert g.value() == 154
+    assert arith.Factorization.of_prime_power(5, 3) == arith.Factorization(((5, 3),), 1)
+    assert arith.Factorization.of_prime_power(5, 0).factors == ()

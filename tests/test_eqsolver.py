@@ -891,6 +891,17 @@ eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0
     assert "postcondition failed: the pull-back to g represents d^2 h(x1, y1)" in run.stderr
 
 
+def test_instance_disc_postcondition_holds_under_python_O():
+    # nor a crafted rho whose determinant is not b0 = 1: g's discriminant
+    # then misses a * disc(f)
+    run = run_under_python_O(O_HEADER + """
+eqsolver._craft_left_transform = lambda *args: ((1, 0), (0, 3))
+eqsolver.equation_instance(qform.BinaryQF(1, 0, 1), ((1, 0), (0, 1)), 103, 1000033)
+""")
+    assert run.returncode != 0
+    assert "postcondition failed: disc(g) = a * disc(f)" in run.stderr
+
+
 def test_represent_infeasible_small_n():
     # 21 is not a sum of two squares and sits under every prime window
     rng = random.Random(20)

@@ -2,6 +2,7 @@
 equivalent-ideal transcript (KlptContext.verify() on tampered input), and
 the search's success rate at fixed seeds."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from quatpath.arith import Factorization
 from quatpath.errors import BudgetError, ValidationError
 
 from oracles import class_representatives_bfs, run_under_python_O
+from test_golden import GOLDEN_TRANSCRIPT
 
 
 def o0_and_ideal(p, rng):
@@ -84,6 +86,7 @@ def test_random_walk_endpoint(p):
     rng = random.Random(f"walk/{p}")
     o0, ideal = o0_and_ideal(p, rng)
     spec = klpt.WalkSpec.from_norm(Factorization(((2, 3), (3, 2)), 1))
+    assert spec.steps == (2, 2, 2, 3, 3)  # factor order
     for start in (o0, ideal):
         end = klpt.random_walk(start, spec, rng)
         assert end.nrd == start.nrd * 72
@@ -246,6 +249,15 @@ def search_outcomes(p, n2, seeds):
 def test_search_succeeds_near_100(p):
     outcomes = search_outcomes(p, Factorization(((5, 20),), 1), range(4))
     assert all(isinstance(ctx, klpt.KlptContext) for ctx in outcomes.values()), outcomes
+
+
+def test_equiv_ideal_returns_the_transcripts_output():
+    # equiv_ideal is equiv_ideal_context's output: the pinned transcript's
+    o0 = quat.special_order(quat.construct_algebra(103)).order
+    n1, n2 = Factorization(((3, 2),), 1), Factorization(((5, 20),), 1)
+    out = klpt.equiv_ideal(o0, n1, n2, 2, random.Random(0))
+    assert hashlib.sha256(out.to_json().encode()).hexdigest() == GOLDEN_TRANSCRIPT[3]
+    assert out.norm() in (9 * 5**20, 9 * 5**20 * 2)
 
 
 def test_search_success_rate_at_1009():

@@ -6,6 +6,7 @@ The oracle style throughout: recompute the claim by exhaustive search
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -302,7 +303,7 @@ def test_divisor_sum_identity():
             if math.gcd(n, D) != 1:
                 continue
             total = sum(representation_count(f, n) for f in cg.forms)
-            chi_sum = sum(arith.kronecker(d, v) for v in arith.factor_completely(n).divisors())
+            chi_sum = sum(arith.kronecker(d, v) for v in range(1, n + 1) if n % v == 0)
             assert total == w * chi_sum, (D, n)
 
 
@@ -325,6 +326,24 @@ def test_sample_prime_large_window():
         assert rho <= val <= rho * rho and arith.is_prime(val)
     with pytest.raises(ValidationError):
         sample_prime_large(f2, 1, rng)
+
+
+def test_sample_prime_large_enumeration_fallback():
+    from quatpath.lattice import GramForm
+
+    # max_tries=0 skips rejection, so every draw comes from the exact pool
+    rng = random.Random(48)
+    f = GramForm(((2, Fraction(1, 2)), (Fraction(1, 2), 3)))
+    vals = set()
+    for _ in range(24):
+        x, val = sample_prime_large(f, 10, rng, max_tries=0)
+        assert f.value_int(x) == val
+        assert 10 <= val <= 100 and arith.is_prime(val)
+        vals.add(val)
+    assert len(vals) > 1
+    # x^2 + 15y^2 takes 4, 9, 15 and 16 in [4, 16], none of them prime
+    with pytest.raises(BudgetError, match="no prime found"):
+        sample_prime_large(GramForm(((1, 0), (0, 15))), 4, rng, max_tries=0)
 
 
 def test_cornacchia_root_cap():
@@ -369,6 +388,14 @@ def test_compose_postcondition_holds_under_python_O():
         "qform.compose_with_coords(qform.BinaryQF(2, 1, 3), (1, 1), qform.BinaryQF(2, -1, 3), (1, 0))")
     assert got == ("AssertionError: postcondition failed: "
                    "the composed form represents f1(v1) * f2(v2)")
+
+
+def test_concordant_postcondition_holds_under_python_O():
+    # and a concordant pair whose transforms dropped the aligning shear
+    got = postcondition_under_python_O(
+        "qform._mul2 = lambda m, n: m",
+        "qform.compose_with_coords(qform.BinaryQF(2, 1, 3), (1, 1), qform.BinaryQF(2, -1, 3), (1, 0))")
+    assert got == "AssertionError: postcondition failed: fi o mi is the concordant pair"
 
 
 def test_cornacchia_postcondition_holds_under_python_O():
