@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 ValidationError means the caller handed us something outside an
-operation's contract; BudgetError means a configured effort cap was hit.
+operation's contract; BudgetError means an effort cap was hit.
 A command-line front end is meant to map these to exit codes 2 and 1
 (none exists yet).  A failed postcondition, checked by _ensure, is an
 AssertionError: a bug here, not the caller's.

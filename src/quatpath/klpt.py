@@ -24,7 +24,6 @@ from .errors import BudgetError, ValidationError, _ensure
 # scale so the caps are generous
 ROUND_CAP = 48
 PRIME_DRAWS_PER_ROUND = 12
-PRIME_SAMPLE_TRIES = 96
 STEP_TRIES = 4096
 
 # class enumeration keys each ideal by its counts of vectors of normalised
@@ -386,11 +385,9 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
     pick = None
     for _ in range(PRIME_DRAWS_PER_ROUND):
         try:
-            cand, wit = quat.equiv_prime_large_nonresidue(
-                walked, rho, ell, rng, max_tries=PRIME_SAMPLE_TRIES
-            )
-        except BudgetError:
-            raise _RoundRetry("prime window empty") from None
+            cand, wit = quat.equiv_prime_large_nonresidue(walked, rho, ell, rng)
+        except BudgetError as e:
+            raise _RoundRetry(str(e)) from None
         n = cand.norm()
         if n == p or (n2v * ell) % n == 0 or so.f.disc % n == 0:
             continue

@@ -357,13 +357,19 @@ def sample_ellipsoid_coset_dim2(form, shift, rho: int, rng: random.Random):
     return coset_sampler_dim2(form, shift, rho)(rng)
 
 
+_BOX_TRIES = 4096  # box points one ellipsoid_sampler draw tries
+# Fincke-Pohst nodes enumerate_by_value may visit: 7x the largest tree the
+# test suite walks (13,169 nodes), half a second of work on a rank-4 form.
+_NODE_BUDGET = 10**5
+
+
 def ellipsoid_sampler(form: GramForm, rho: int):
-    """draw(rng, max_tries): uniform lattice points with 0 < f(x) <= rho.
+    """draw(rng): uniform lattice points with 0 < f(x) <= rho.
 
     Rejection from the tight coordinate box of the LLL-reduced basis, so
     the acceptance rate is a dimension-only constant.  The reduction and
     the box are computed here once; each draw returns coordinates over
-    the original basis or raises BudgetError after max_tries rejections.
+    the original basis or raises BudgetError after _BOX_TRIES rejections.
     """
     n = form.rank
     red, u = lll_reduce(form)
@@ -375,8 +381,8 @@ def ellipsoid_sampler(form: GramForm, rho: int):
         minor = tuple(row[:i] + row[i + 1:] for k, row in enumerate(m) if k != i)
         bounds.append(math.isqrt(2 * rho * linalg.det_bareiss(minor) // det))
 
-    def draw(rng: random.Random, max_tries: int) -> tuple:
-        for _ in range(max_tries):
+    def draw(rng: random.Random) -> tuple:
+        for _ in range(_BOX_TRIES):
             x = tuple(rng.randint(-b, b) for b in bounds)
             if not any(x):
                 continue
@@ -390,11 +396,9 @@ def ellipsoid_sampler(form: GramForm, rho: int):
     return draw
 
 
-def sample_ellipsoid(
-    form: GramForm, rho: int, rng: random.Random, max_tries: int = 1 << 20
-) -> tuple:
+def sample_ellipsoid(form: GramForm, rho: int, rng: random.Random) -> tuple:
     """One draw of ellipsoid_sampler(form, rho): uniform 0 < f(x) <= rho."""
-    return ellipsoid_sampler(form, rho)(rng, max_tries)
+    return ellipsoid_sampler(form, rho)(rng)
 
 
 def enumerate_by_value(form: GramForm, bound: int, lower: int = 1):
@@ -403,14 +407,20 @@ def enumerate_by_value(form: GramForm, bound: int, lower: int = 1):
     Fincke-Pohst on the integral Gram-Schmidt data (d, lam) that the LLL
     reduction ends with (skewed input bases would blow the search tree
     up), mapped back afterwards.  Yields (x, f(x)) with the first nonzero
-    coordinate of x positive.
+    coordinate of x positive.  Raises BudgetError once the search tree
+    passes _NODE_BUDGET nodes, points below lower included.
     """
     n = form.rank
     u_rows, d, lam = _lll(form.m)
     top = 2 * bound  # the bound in the scale of m
     x = [0] * n
+    nodes = 0
 
     def rec(i: int, part: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise BudgetError(f"enumeration tree over {_NODE_BUDGET} nodes")
         # part = d[i+1] * |pi_{i+1}(v)|^2 in the scale of m, where v is the
         # vector of the coordinates fixed so far and pi_{i+1} projects away
         # from b_0, ..., b_i; it is an integer, a Gram determinant

@@ -364,38 +364,34 @@ def _form_content(form: lattice.GramForm) -> int:
                       for i in range(form.rank) for j in range(form.rank)))
 
 
-def sample_prime_large(
-    f: lattice.GramForm, rho: int, rng: random.Random, max_tries: int | None = None
-) -> tuple[tuple, int]:
+def sample_prime_large(f: lattice.GramForm, rho: int, rng: random.Random) -> tuple[tuple, int]:
     """Random x with f(x) a prime in [rho, rho^2], for any rank.
 
-    Rejects from the full-rank ellipsoid; if the window is too sparse for
-    rejection to hit anything, falls back to exact enumeration so a prime
-    is found whenever one exists at all.
+    Rejects from the full-rank ellipsoid first, 32 draws per bit of rho^2
+    (about 46*ln(rho^2), where the prime number theorem expects a prime
+    every ln(rho^2) in-window draws), then decides a sparse window by
+    exact enumeration: BudgetError "prime window holds no prime" when it
+    has none, "prime window too large to enumerate" past the node budget.
     """
     if _form_content(f) != 1:
         raise ValidationError("a primitive form is required")
     if rho < 2:
         raise ValidationError("rho must be at least 2")
     hi = rho * rho
-    tries = max_tries if max_tries is not None else 512 * max(8, hi.bit_length())
     draw = lattice.ellipsoid_sampler(f, hi)
     try:
-        for _ in range(tries):
-            x = draw(rng, 4096)
+        for _ in range(32 * hi.bit_length()):
+            x = draw(rng)
             val = f.value_int(x)
             if rho <= val <= hi and arith.is_prime(val):
                 return x, val
     except BudgetError:
         pass
-    pool = []
-    seen = 0
-    for x, val in lattice.enumerate_by_value(f, hi, lower=rho):
-        seen += 1
-        if seen > 2 * 10**6:
-            raise BudgetError("prime window too large to enumerate")
-        if arith.is_prime(val):
-            pool.append((x, val))
+    try:
+        pool = [(x, val) for x, val in lattice.enumerate_by_value(f, hi, lower=rho)
+                if arith.is_prime(val)]
+    except BudgetError:
+        raise BudgetError("prime window too large to enumerate") from None
     if not pool:
-        raise BudgetError("no prime found in the requested window")
+        raise BudgetError("prime window holds no prime")
     return pool[rng.randrange(len(pool))]

@@ -506,17 +506,13 @@ def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:
     return out
 
 
-def equiv_prime_large_nonresidue(
-    ideal: QuatLattice, rho: int, ell: int, rng: random.Random,
-    max_tries: int | None = None,
-):
+def equiv_prime_large_nonresidue(ideal: QuatLattice, rho: int, ell: int, rng: random.Random):
     """Equivalent ideal of prime norm N in [rho, rho^2] with (ell/N) = -1.
 
     Restricts the prime hunt to the sublattice Z x + 4*ell*I (8I when
     ell = 2) where x is chosen so every candidate norm is forced into
-    the non-residue classes.  max_tries trims the rejection phase of the
-    prime hunt; narrow desk windows fall through to exact enumeration
-    quickly that way.
+    the non-residue classes.  Raises BudgetError when no such x turns up,
+    or with qform.sample_prime_large's reason when the hunt fails.
     """
     if not arith.is_prime(ell) or ell == ideal.alg.p:
         raise ValidationError("ell must be a prime different from p")
@@ -542,7 +538,7 @@ def equiv_prime_large_nonresidue(
     ]
     c = linalg.hnf(rows)
     sub = g.transform(c)
-    y, n = qform.sample_prime_large(sub, rho, rng, max_tries)
+    y, n = qform.sample_prime_large(sub, rho, rng)
     coords = linalg.vec_mat(y, c)
     el = ideal.element_from(coords)
     _ensure(arith.kronecker(ell, n) == -1, "(ell / N) = -1")

@@ -269,6 +269,13 @@ def test_search_success_rate_at_1009():
     assert 1 in wins and len(wins) >= 3, outcomes
 
 
+def test_search_at_a_61_bit_prime():
+    # n2 = 5^124 ~ p^4.7; seed 0 succeeds in its first round
+    outcomes = search_outcomes(2**61 - 1, Factorization(((5, 124),), 1), [0])
+    assert isinstance(outcomes[0], klpt.KlptContext), outcomes
+    assert outcomes[0].rounds == 1
+
+
 def test_disc_f_obstruction_has_its_own_reason():
     # at p = 103 (f = x^2 + y^2) one of seed 7's rounds builds a master
     # instance that keeps no residue mod |disc f| = 4; that is not a
@@ -316,6 +323,25 @@ def test_norm_rep_failure_has_its_own_reason(monkeypatch):
     assert +moved == Counter(gave_up.failures)
     assert unsolvable.rounds == gave_up.rounds
     assert unsolvable.output == gave_up.output
+
+
+def test_prime_hunt_failure_keeps_its_reason(monkeypatch):
+    # a round whose prime hunt raises is filed under the hunt's own message
+    hunt = quat.equiv_prime_large_nonresidue
+    calls = []
+
+    def failing_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise BudgetError("prime window too large to enumerate")
+        return hunt(*args)
+
+    monkeypatch.setattr(quat, "equiv_prime_large_nonresidue", failing_once)
+    o0 = quat.special_order(quat.construct_algebra(103)).order
+    ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
+                                   Factorization(((5, 20),), 1), 2, random.Random(0))
+    assert ctx.failures["prime window too large to enumerate"] == 1
+    assert ctx.verify()
 
 
 @pytest.mark.parametrize("p", [103, 101, 97])

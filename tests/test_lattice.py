@@ -311,14 +311,15 @@ def test_sample_ellipsoid_general_rank():
     # the boundary f(x) = rho is inside: at rho = 1 only unit vectors qualify
     unit = GramForm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     for _ in range(50):
-        assert unit.value_int(sample_ellipsoid(unit, 1, rng, max_tries=1000)) == 1
+        assert unit.value_int(sample_ellipsoid(unit, 1, rng)) == 1
 
 
 def test_sample_ellipsoid_budget():
-    # radius below the first minimum: nothing to sample
+    # radius below the first minimum: nothing to sample, and a draw gives
+    # up after its fixed number of box tries
     f = GramForm(((5, 0), (0, 7)))
     with pytest.raises(BudgetError):
-        sample_ellipsoid(f, 3, random.Random(29), max_tries=500)
+        sample_ellipsoid(f, 3, random.Random(29))
 
 
 def check_enumeration(f, bound, lower):
@@ -358,6 +359,14 @@ def test_enumerate_by_value_matches_brute():
             check_enumeration(f, bound, rng.randrange(1, bound + 1))
     for f, lower in zip(quat_forms(), (1, 2, 1, 3, 2, 1)):
         check_enumeration(f, 4, lower)
+
+
+def test_enumerate_by_value_node_budget(monkeypatch):
+    monkeypatch.setattr(lattice, "_NODE_BUDGET", 1000)
+    f = GramForm(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(BudgetError, match="over 1000 nodes"):
+        list(enumerate_by_value(f, 10**4))
+    assert len(list(enumerate_by_value(f, 1))) == 3
 
 
 def test_enumerate_by_value_exact_boundary():

@@ -6,11 +6,12 @@ The oracle style throughout: recompute the claim by exhaustive search
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from quatpath import arith
+from quatpath import arith, lattice
 from quatpath.errors import BudgetError, ValidationError
 from quatpath.qform import (
     BinaryQF,
@@ -328,22 +329,52 @@ def test_sample_prime_large_window():
         sample_prime_large(f2, 1, rng)
 
 
-def test_sample_prime_large_enumeration_fallback():
+def always_missing(form, rho):
+    """An ellipsoid_sampler whose every draw misses the window: f(0) = 0."""
+    return lambda rng: (0,) * form.rank
+
+
+def test_sample_prime_large_enumeration_fallback(monkeypatch):
     from quatpath.lattice import GramForm
 
-    # max_tries=0 skips rejection, so every draw comes from the exact pool
+    # every rejection draw misses, so every result comes from the exact pool
     rng = random.Random(48)
     f = GramForm(((2, Fraction(1, 2)), (Fraction(1, 2), 3)))
     vals = set()
-    for _ in range(24):
-        x, val = sample_prime_large(f, 10, rng, max_tries=0)
-        assert f.value_int(x) == val
-        assert 10 <= val <= 100 and arith.is_prime(val)
-        vals.add(val)
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "ellipsoid_sampler", always_missing)
+        for _ in range(24):
+            x, val = sample_prime_large(f, 10, rng)
+            assert f.value_int(x) == val
+            assert 10 <= val <= 100 and arith.is_prime(val)
+            vals.add(val)
     assert len(vals) > 1
-    # x^2 + 15y^2 takes 4, 9, 15 and 16 in [4, 16], none of them prime
-    with pytest.raises(BudgetError, match="no prime found"):
-        sample_prime_large(GramForm(((1, 0), (0, 15))), 4, rng, max_tries=0)
+    # x^2 + 15y^2 takes 4, 9, 15 and 16 in [4, 16], none of them prime, so
+    # the draws miss unpatched
+    with pytest.raises(BudgetError, match="holds no prime"):
+        sample_prime_large(GramForm(((1, 0), (0, 15))), 4, rng)
+
+
+# 2G of a form the equivalence search hunted a prime norm in, at
+# p = 4294967357 with n2 = 5^65: its window [463075, 463075^2] holds few
+# primes, and the tree of all points below 463075^2 has millions of nodes
+SPARSE_WINDOW_2G = (
+    (562640723770, 326417519136, 481036343984, 618475299408),
+    (326417519136, 206158433152, 274877910848, 274877910848),
+    (481036343984, 274877910848, 412316866272, 549755821696),
+    (618475299408, 274877910848, 549755821696, 1099511643392),
+)
+
+
+def test_sample_prime_large_sparse_window_is_bounded(monkeypatch):
+    from quatpath.lattice import GramForm
+
+    f = GramForm(tuple(tuple(Fraction(v, 2) for v in row) for row in SPARSE_WINDOW_2G))
+    monkeypatch.setattr(lattice, "ellipsoid_sampler", always_missing)
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="too large to enumerate"):
+        sample_prime_large(f, 463075, random.Random(2))
+    assert time.process_time() - start < 2
 
 
 def test_cornacchia_root_cap():
