@@ -1,5 +1,4 @@
-"""Quaternion-path toolkit: orders and ideals in B_{p,oo}, prime sampling
-via quadratic forms, ideal-to-isogeny translation, and the reductions
-tying isogeny path finding to endomorphism ring computation."""
+"""Quaternion-path toolkit: orders and ideals in B_{p,oo}, binary quadratic
+forms, norm equations, and the equivalent-ideal search built on them."""
 
 __version__ = "0.1.0"

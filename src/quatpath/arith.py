@@ -225,7 +225,7 @@ def sqrt_mod_prime_power(n: int, p: int, k: int = 1) -> list[int]:
 
     Unlike sqrt_mod this handles p = 2 and gcd(n, p) > 1, by explicit
     level-by-level lifting.  The root count can grow like p^(k/2) when
-    p^k | n, so callers should keep k moderate in that regime.
+    p^k | n; past 10^5 roots it raises BudgetError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -248,7 +248,7 @@ def sqrt_mod_prime_power(n: int, p: int, k: int = 1) -> list[int]:
         sols = sorted(lifted)
         m = m_next
         if len(sols) > 10**5:
-            raise ValueError("root count over budget; modulus too singular")
+            raise BudgetError("root count over budget; modulus too singular")
     return sols
 
 

@@ -398,41 +398,33 @@ def _check_local_at_det(inst):
 
 def lift_genus_solution(inst, sol):
     """Turn (l, x', y') with a*l + b*g(x', y') = n, l prime in an
-    admissible class, into (s, t, x, y) with
-    det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n.
+    admissible class (l mod |disc f| in inst.u_residues, f's genus), into
+    (s, t, x, y) with det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n.
 
-    Cornacchia finds a genus form h with h(s0,t0) = l; the class
-    [k]^2 = [h]^(-1)[f] exists by the principal genus theorem and comes
-    with a table divisor d = k(s1,t1) dividing b0, so composing twice
-    gives f-coordinates for d^2*l and scaling by b0/d reaches b0^2*l.
+    Cornacchia finds the first class h of disc f with h(s0,t0) = l; h is
+    in f's genus, so [k]^2 = [h]^(-1)[f] exists by the principal genus
+    theorem and comes with a table divisor d = k(s1,t1) dividing b0, so
+    composing twice gives f-coordinates for d^2*l and scaling by b0/d
+    reaches b0^2*l.
     """
     ell, xp, yp = sol
     if inst.a * ell + inst.b * inst.g.value(xp, yp) != inst.n:
         raise ValidationError("input triple does not solve the rho-equation")
     if not arith.is_prime(ell):
         raise ValidationError("z-value must be prime")
+    if ell % inst.chi_mod not in inst.u_residues:
+        raise ValidationError("z-value is not in an admissible class modulo disc(f)")
     cg = inst.class_group_f
     fa_ell = Factorization.of_prime_power(ell, 1)
-    idx_f = cg.index_of(inst.f)
-    found = None
-    for i, form in enumerate(cg.forms):
-        if cg.genus_ids[i] != cg.genus_ids[idx_f]:
-            continue
-        co = qform.cornacchia(form, ell, fa_ell)
+    for idx_h, h in enumerate(cg.forms):
+        co = qform.cornacchia(h, ell, fa_ell)
         if co is not None:
-            found = (i, form, co)
             break
-    if found is None:
-        raise ValidationError(
-            "prime not represented by the genus of f; upstream residue "
-            "filter is broken"
-        )
-    idx_h, h, co = found
+    _ensure(co is not None, "some class of disc(f) represents the prime")
 
-    # square roots of [h]^(-1)[f]; nonempty because h and f share a genus
-    want = cg.compose_indices(cg.inverse_index(idx_h), idx_f)
+    want = cg.compose_indices(cg.inverse_index(idx_h), cg.index_of(inst.f))
     roots = [i for i in range(cg.h) if cg.compose_indices(i, i) == want]
-    assert roots
+    _ensure(bool(roots), "[h]^(-1)[f] has a square root")
     # largest divisor = smallest b0/d scaling; the choice is free since
     # the left side is exact, never sampled
     idx_k = max(roots, key=lambda i: inst.left_table[i][0])

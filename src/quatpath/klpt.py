@@ -106,8 +106,6 @@ def ell_neighbors(ideal, ell):
         raise ValidationError("ell must be prime")
     if ell == ideal.alg.p:
         raise ValidationError("ell must differ from the base prime p")
-    if ideal.nrd.denominator == 1 and ideal.nrd.numerator % ell == 0:
-        raise ValidationError("ell must not divide the norm of the ideal")
     order = quat.left_order(ideal)
     if not order.is_maximal_order():
         raise ValidationError("the left order of the ideal must be maximal")

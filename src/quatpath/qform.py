@@ -2,8 +2,9 @@
 
 Reduction with explicit SL2(Z) transforms, Gauss composition carrying
 representations, Cornacchia-style representation solving, class-group
-enumeration with genus data, and a sampler that hunts for prime values
-in a window [rho, rho^2] of a positive definite form of any rank.
+enumeration (no genus data: eqsolver reads a form's genus off its unit
+values mod |disc|), and a sampler that hunts for prime values in a
+window [rho, rho^2] of a positive definite form of any rank.
 """
 
 from __future__ import annotations
@@ -286,8 +287,8 @@ class ClassGroup:
     """Every reduced primitive form of one negative discriminant.
 
     Immutable after construction.  Composition of classes is computed on
-    demand (it is cheap and stateless); the genus partition is stored as
-    cosets of the subgroup of squares.
+    demand (it is cheap and stateless).  No genus partition is stored:
+    eqsolver decides a genus by the unit residues mod |disc| a form takes.
     """
 
     def __init__(self, disc: int, forms: tuple):
@@ -296,18 +297,6 @@ class ClassGroup:
         self.h = len(forms)
         self._index = {f: i for i, f in enumerate(forms)}
         self.identity_index = self._index[reduce_form(principal_form(disc))[0]]
-        squares = sorted({self.compose_indices(i, i) for i in range(self.h)})
-        self.principal_genus = tuple(squares)
-        genus_id = [-1] * self.h
-        gid = 0
-        for i in range(self.h):
-            if genus_id[i] >= 0:
-                continue
-            for s in squares:
-                genus_id[self.compose_indices(i, s)] = gid
-            gid += 1
-        self.genus_ids = tuple(genus_id)
-        self.genus_count = gid
 
     def index_of(self, f: BinaryQF) -> int:
         red, _ = reduce_form(f)

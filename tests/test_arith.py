@@ -147,6 +147,9 @@ def test_sqrt_mod_factored():
     primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
     with pytest.raises(BudgetError, match="square-root count"):
         arith.sqrt_mod_factored(1, [(q, 1) for q in primes])  # 2^17 roots
+    # one singular prime power: the roots of 0 mod 3^k number 3^(k // 2)
+    with pytest.raises(BudgetError, match="root count"):
+        arith.sqrt_mod_factored(0, [(3, 30)])
 
 
 def test_sqrt_mod_odd_coprime():

@@ -347,30 +347,31 @@ def test_lift_h1_is_plain_cornacchia():
     assert f.value(s, t) == found[0]
 
 
+def triple_with_prime(f, ell):
+    """An instance of f with b = 1 and a solution (ell, x, y) of its
+    rho-equation, whether or not ell is in an admissible class."""
+    inst0 = equation_instance(f, ID2, 1, 99991)
+    for x in range(1, 60):
+        for y in range(60):
+            n = inst0.a * ell + inst0.g.value(x, y)
+            try:
+                inst = equation_instance(f, ID2, 1, n)
+            except ValidationError:
+                continue
+            if inst.a == inst0.a and inst.g == inst0.g:
+                return inst, (ell, x, y)
+    raise AssertionError("no triple found")
+
+
 def test_lift_two_genera_disc20():
     # disc -20 has classes (1,0,5) and (2,2,3) in different genera. A prime
     # in the (2,2,3) genus lifts through the square-root class of order 2,
     # whose square is the principal form x^2 + 5 y^2.
     f = qform.BinaryQF(2, 2, 3)
-    inst0 = equation_instance(f, ID2, 1, 99991)
-    a = inst0.a
     ell = 23
     assert representation_count(qform.BinaryQF(2, 2, 3), ell) > 0
     assert representation_count(qform.BinaryQF(1, 0, 5), ell) == 0
-    found = None
-    for x in range(1, 60):
-        for y in range(60):
-            n = a * ell + inst0.g.value(x, y)
-            try:
-                inst = equation_instance(f, ID2, 1, n)
-            except ValidationError:
-                continue
-            if inst.a == a and inst.g == inst0.g:
-                found = (inst, (ell, x, y))
-                break
-        if found:
-            break
-    inst, sol = found
+    inst, sol = triple_with_prime(f, ell)
     s, t, x, y = lift_genus_solution(inst, sol)
     assert f.value(s, t) + inst.g_gamma.value(x, y) == inst.n
     assert f.value(s, t) == inst.b0**2 * ell
@@ -384,6 +385,29 @@ def test_lift_two_genera_disc20():
     assert cg.compose_indices(i2, i2) == cg.identity_index
     assert cg.forms[cg.identity_index] == qform.BinaryQF(1, 0, 5)
     assert inst.left_table[i2][0] > 1  # the lift scaled through its divisor
+
+
+@pytest.mark.parametrize("f, ell", [((2, 2, 3), 29), ((1, 0, 5), 23)])
+def test_lift_rejects_prime_of_the_other_genus(f, ell):
+    # disc -20: 29 = 3^2 + 5*2^2 is only in the principal genus, 23 only in
+    # the (2,2,3) genus; each triple solves its equation but its prime is
+    # not in an admissible class
+    f = qform.BinaryQF(*f)
+    assert representation_count(f, ell) == 0
+    inst, sol = triple_with_prime(f, ell)
+    assert inst.a * ell + inst.g.value(*sol[1:]) == inst.n
+    with pytest.raises(ValidationError, match="not in an admissible class"):
+        lift_genus_solution(inst, sol)
+
+
+def test_lift_rejects_prime_dividing_disc():
+    # 11 = f(-1, 2) for f of disc -11, but a prime dividing disc(f) is no
+    # unit residue, so it is not in an admissible class
+    f = qform.BinaryQF(1, 1, 3)
+    inst = equation_instance(f, ID2, 7, 11 + 7 * f.value(1, 0))
+    assert inst.a == 1 and f.value(-1, 2) == 11
+    with pytest.raises(ValidationError, match="not in an admissible class"):
+        lift_genus_solution(inst, (11, 1, 0))
 
 
 def test_lift_rejects_wrong_triple():

@@ -3,7 +3,7 @@ cannot linger in an export list; every name the benchmark traces must
 exist, so a rename cannot break a traced run; every console script
 pyproject declares must resolve, so an install creates no broken command;
 a bare assert, which python -O strips, may only state an internal
-invariant, never a postcondition."""
+invariant, never a postcondition; and every memo must be bounded."""
 
 import ast
 import functools
@@ -56,7 +56,6 @@ def test_every_declared_script_resolves():
 # (module, function) of every bare assert src may keep, each an internal
 # invariant; a check on a returned value goes through errors._ensure
 ALLOWED_ASSERTS = {
-    ("eqsolver", "lift_genus_solution"),
     ("qform", "prime_form"),
     ("qform", "_concordant"),
     ("qform", "fundamental_discriminant"),
@@ -84,3 +83,32 @@ def test_bare_asserts_only_state_invariants():
              for a in bare_asserts(path)]
     assert sorted(found) == sorted(ALLOWED_ASSERTS), \
         "a postcondition must go through errors._ensure, not assert"
+
+
+def unbounded_memos(source):
+    """Line of each functools.cache or lru_cache(maxsize=None) in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and "lru_cache" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and size[0].value is None:
+                found.append(node.lineno)
+    return found
+
+
+def test_memos_are_bounded():
+    assert unbounded_memos(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef f(): pass\n"
+        "@functools.lru_cache(maxsize=None)\ndef g(): pass\n"
+        "@lru_cache(None)\ndef h(): pass\n"
+        "@functools.lru_cache(maxsize=16)\ndef k(): pass\n") == [2, 3, 5, 7]
+    found = {path.stem: lines for path in sorted((ROOT / "src" / "quatpath").glob("*.py"))
+             if (lines := unbounded_memos(path.read_text()))}
+    assert not found, f"unbounded memo (module: lines): {found}"

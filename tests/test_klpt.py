@@ -31,7 +31,10 @@ def test_ell_neighbors(monkeypatch, p, ell):
     built = []  # each neighbor lattice is built once
     step = klpt._step_lattice
     monkeypatch.setattr(klpt, "_step_lattice", lambda *a: built.append(a) or step(*a))
-    for start in (o0, ideal):
+    # the third start has norm ell: I/ell*I is still free of rank one, and
+    # the neighbours of a neighbour of O0 include ell*O0, the step back
+    first = klpt.ell_neighbors(o0, ell)[0]
+    for start in (o0, ideal, first):
         built.clear()
         nbs = klpt.ell_neighbors(start, ell)
         assert len(nbs) == ell + 1 and len(set(nbs)) == ell + 1 and len(built) == ell + 1
@@ -39,6 +42,7 @@ def test_ell_neighbors(monkeypatch, p, ell):
             assert nb.nrd == start.nrd * ell
             assert nb.is_sublattice_of(start) and nb.index_in(start) == ell * ell
             assert quat.left_order(nb) == o0
+    assert o0.scale(ell) in nbs
 
 
 def test_ell_neighbors_rejects_non_maximal_left_order():

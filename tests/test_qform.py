@@ -27,7 +27,6 @@ from quatpath.qform import (
 
 from oracles import (
     genus_representation_count,
-    genus_residues,
     representation_count,
     run_under_python_O,
 )
@@ -200,27 +199,6 @@ def test_order_of_elements_divides_h():
                 cur = cg.compose_indices(cur, i)
                 k += 1
             assert cg.h % k == 0
-
-
-def test_genus_structure():
-    for D in [-84, -120, -95, -420]:
-        cg = class_group(D)
-        # principal genus is exactly the squares
-        sq = sorted({cg.compose_indices(i, i) for i in range(cg.h)})
-        assert list(cg.principal_genus) == sq
-        # genus partition has equal cells, count a power of two
-        cells = {}
-        for i in range(cg.h):
-            cells.setdefault(cg.genus_ids[i], []).append(i)
-        sizes = {len(v) for v in cells.values()}
-        assert len(sizes) == 1
-        assert cg.genus_count == len(cells)
-        assert cg.genus_count & (cg.genus_count - 1) == 0
-        # classes in one genus represent the same residues
-        for i in range(cg.h):
-            for j in range(cg.h):
-                if cg.genus_ids[i] == cg.genus_ids[j]:
-                    assert genus_residues(cg.forms[i]) == genus_residues(cg.forms[j])
 
 
 def test_cornacchia_against_brute():
