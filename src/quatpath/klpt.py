@@ -59,10 +59,19 @@ class WalkSpec:
 
 
 def _step_lattice(order, ideal, w, ell):
-    """The neighbor order*w + ell*ideal for a rank-one w in ideal."""
-    rows = [b * w for b in order.basis_elements()]
-    rows += [b * ell for b in ideal.basis_elements()]
-    return quat.QuatLattice.from_rows(ideal.alg, rows)
+    """The neighbor order*w + ell*ideal for a rank-one w in ideal.
+
+    The ideal coordinates of the four products b*w, by back-substitution,
+    span the neighbor's rank-2 image in ideal/ell*ideal.  Their HNF mod ell
+    times the ideal's basis is a triangular basis of the neighbor, which
+    leaves the canonical form no gcd steps.
+    """
+    d = order.den * w.den
+    coords = [ideal._solve(quat._mul(ideal.alg, b, w.num), d) for b in order.mat]
+    _ensure(None not in coords, "each b*w lies in the ideal")
+    h = linalg.hnf_mod_prime(coords, ell)
+    _ensure(sum(h[k][k] == 1 for k in range(4)) == 2, "the image mod ell has rank 2")
+    return quat._canonical(ideal.alg, linalg.mat_mul(h, ideal.mat), ideal.den)
 
 
 def _neighbor_lattices(order, ideal, ell):
@@ -77,7 +86,7 @@ def _neighbor_lattices(order, ideal, ell):
     order must be the left order of ideal and maximal.  Then every
     rank-one w spans a neighbor of index ell^2 in ideal, so a w inside a
     neighbor found already spans that very neighbor and is skipped: one
-    lattice is built per neighbor.
+    lattice is built per neighbor, by _step_lattice, solved mod ell.
     """
     gram = ideal.q_gram()
     out = []
@@ -123,8 +132,9 @@ def random_walk(ideal, spec, rng):
     Steps draw random rank-one elements of ideal/ell*ideal, tested as in
     _neighbor_lattices, instead of enumerating neighbors; the ell + 1
     lines have equally many rank-one generators, so each step is uniform.
-    The endpoint sits inside the input with norm scaled by the walk norm,
-    and keeps the left order, which must be maximal.
+    Each step is one _step_lattice, solved mod ell, whose only HNF is of 4
+    triangular rows.  The endpoint sits inside the input with norm scaled
+    by the walk norm, and keeps the left order, which must be maximal.
     """
     if not isinstance(spec, WalkSpec):
         raise ValidationError("spec must be a WalkSpec")

@@ -1,10 +1,11 @@
 """Small exact linear algebra over Z.
 
 Matrices are tuples of tuples (rows) of ints.  All sizes here are tiny
-(at most 16 rows, 14 columns), so clarity wins over asymptotics.  hnf,
-by gcd elimination, is the one integer elimination: left kernels and
-lattice intersections are read off the HNF of a block matrix (Cohen, A
-Course in Computational Algebraic Number Theory, 2.4).  Determinants
+(at most 16 rows, 14 columns), so clarity wins over asymptotics.  hnf
+is by gcd elimination: left kernels and lattice intersections are read
+off the HNF of a block matrix (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4).  hnf_mod_prime is the HNF of a lattice
+holding ell * Z^n, by Gauss-Jordan elimination over F_ell.  Determinants
 are by fraction-free Bareiss.  inverse_fraction, Gaussian elimination
 over Q, has no caller in the package; tests use it as an oracle and
 the benchmark traces it.
@@ -118,6 +119,31 @@ def hnf(m: Mat) -> Mat:
         pivot_row += 1
     # every row from pivot_row on was cleared in every column
     return tuple(tuple(r) for r in a[:pivot_row])
+
+
+def hnf_mod_prime(m: Mat, ell: int) -> Mat:
+    """Row HNF of the lattice spanned by the rows of M and ell * Z^n, ell prime.
+
+    That lattice holds ell * Z^n, so its HNF is read off the reduced row
+    echelon form of M over F_ell, the prime case of the modular HNF
+    (Cohen 2.4): the echelon row, lifted to [0, ell), in each pivot
+    column, and ell * e_j in every other column j.
+    """
+    n = len(m[0])
+    a = [[x % ell for x in row] for row in m]
+    pivots = {}  # pivot column -> its echelon row
+    for col in range(n):
+        piv = next((row for row in a if row[col]), None)
+        if piv is None:
+            continue
+        a.remove(piv)
+        inv = pow(piv[col], -1, ell)
+        piv = [x * inv % ell for x in piv]
+        for row in a + list(pivots.values()):
+            row[:] = [(x - row[col] * y) % ell for x, y in zip(row, piv)]
+        pivots[col] = piv
+    return tuple(tuple(pivots[j]) if j in pivots else tuple(ell * (k == j) for k in range(n))
+                 for j in range(n))
 
 
 def left_kernel(m: Mat) -> Mat:

@@ -4,8 +4,10 @@ Elements and lattices share one representation: integers over one
 positive denominator, in coordinates over the basis (1, i, j, ij) with
 i^2 = -q, j^2 = -p, ji = -ij.  An element is four numerators over a
 denominator in lowest terms; a lattice is a canonical integer HNF basis
-over one denominator.  So equal values compare equal bitwise.  On top of
-that sit orders, ideals, and the prime-norm equivalent-ideal
+over one denominator.  So equal values compare equal bitwise.  Lattice
+products multiply these integer rows, fold any scalar factor into the
+denominator and take one HNF, with no element built per product.  On top
+of that sit orders, ideals, and the prime-norm equivalent-ideal
 constructions used by the path algorithms.
 """
 
@@ -107,19 +109,7 @@ class QuatElement:
             num = tuple(a * other.numerator for a in self.num)
             return QuatElement(self.alg, num, self.den * other.denominator)
         self._check(other)
-        q, p = self.alg.q, self.alg.p
-        a1, a2, a3, a4 = self.num
-        b1, b2, b3, b4 = other.num
-        return QuatElement(
-            self.alg,
-            (
-                a1 * b1 - q * a2 * b2 - p * a3 * b3 - q * p * a4 * b4,
-                a1 * b2 + a2 * b1 + p * a3 * b4 - p * a4 * b3,
-                a1 * b3 + a3 * b1 - q * a2 * b4 + q * a4 * b2,
-                a1 * b4 + a4 * b1 + a2 * b3 - a3 * b2,
-            ),
-            self.den * other.den,
-        )
+        return QuatElement(self.alg, _mul(self.alg, self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__  # scalars commute with every element
 
@@ -128,8 +118,7 @@ class QuatElement:
             raise ValidationError("algebra mismatch")
 
     def conj(self) -> "QuatElement":
-        c = self.num
-        return QuatElement(self.alg, (c[0], -c[1], -c[2], -c[3]), self.den)
+        return QuatElement(self.alg, _conj(self.num), self.den)
 
     def trd(self) -> Fraction:
         return Fraction(2 * self.num[0], self.den)
@@ -152,6 +141,23 @@ class QuatElement:
         return not any(self.num)
 
 
+def _mul(alg: QuatAlgebra, a, b) -> tuple:
+    """The product of two integer coordinate vectors."""
+    q, p = alg.q, alg.p
+    a1, a2, a3, a4 = a
+    b1, b2, b3, b4 = b
+    return (
+        a1 * b1 - q * a2 * b2 - p * a3 * b3 - q * p * a4 * b4,
+        a1 * b2 + a2 * b1 + p * a3 * b4 - p * a4 * b3,
+        a1 * b3 + a3 * b1 - q * a2 * b4 + q * a4 * b2,
+        a1 * b4 + a4 * b1 + a2 * b3 - a3 * b2,
+    )
+
+
+def _conj(a) -> tuple:
+    return (a[0], -a[1], -a[2], -a[3])
+
+
 def _pair(alg: QuatAlgebra, a, b) -> int:
     """The pairing of two integer coordinate vectors."""
     q, p = alg.q, alg.p
@@ -165,6 +171,13 @@ def _canonical(alg: QuatAlgebra, rows, den: int) -> "QuatLattice":
         raise ValidationError("lattice must have full rank 4")
     g = math.gcd(den, *(c for row in h for c in row))
     return QuatLattice(alg, den // g, tuple(tuple(c // g for c in row) for row in h))
+
+
+def _products(alg: QuatAlgebra, left, right, den: int, r=1) -> "QuatLattice":
+    """The lattice spanned by a * b * r / den, over the integer rows a of
+    left and b of right and an int or Fraction r: one HNF of the products."""
+    rows = [tuple(c * r.numerator for c in _mul(alg, a, b)) for a in left for b in right]
+    return _canonical(alg, rows, den * r.denominator)
 
 
 class QuatLattice:
@@ -203,27 +216,25 @@ class QuatLattice:
     def basis_elements(self) -> tuple:
         return tuple(QuatElement(self.alg, row, self.den) for row in self.mat)
 
-    def _solve(self, el: QuatElement):
-        """Integer x with x * basis = el, or None: back-substitution on the HNF."""
-        if el.alg != self.alg or self.den % el.den:
-            return None
-        v = [c * (self.den // el.den) for c in el.num]
+    def _solve(self, num, den: int):
+        """Integer x with x * basis = num / den, or None: back-substitution."""
+        v = [c * self.den for c in num]  # x * (den * basis matrix) = v
         x = []
         for k, row in enumerate(self.mat):
-            xk, r = divmod(v[k], row[k])
+            xk, r = divmod(v[k], row[k] * den)
             if r:
                 return None
             x.append(xk)
             for t in range(k + 1, 4):
-                v[t] -= xk * row[t]
+                v[t] -= xk * row[t] * den
         return tuple(x)
 
     def contains(self, el: QuatElement) -> bool:
-        return self._solve(el) is not None
+        return el.alg == self.alg and self._solve(el.num, el.den) is not None
 
     def coordinates_of(self, el: QuatElement) -> tuple:
         """Integer coordinates of el over the lattice basis."""
-        x = self._solve(el)
+        x = self._solve(el.num, el.den) if el.alg == self.alg else None
         if x is None:
             raise ValidationError("element is not in the lattice")
         return x
@@ -265,40 +276,37 @@ class QuatLattice:
 
     # --- arithmetic ---
 
+    def _rows_over(self, d: int) -> tuple:
+        """The basis rows over the denominator d, a multiple of self.den."""
+        return tuple(tuple(c * (d // self.den) for c in row) for row in self.mat)
+
     def add(self, other: "QuatLattice") -> "QuatLattice":
         self._compat(other)
-        rows = list(self.basis_elements()) + list(other.basis_elements())
-        return QuatLattice.from_rows(self.alg, rows)
+        d = math.lcm(self.den, other.den)
+        return _canonical(self.alg, self._rows_over(d) + other._rows_over(d), d)
 
     def mul(self, other: "QuatLattice") -> "QuatLattice":
         self._compat(other)
-        rows = [a * b for a in self.basis_elements() for b in other.basis_elements()]
-        return QuatLattice.from_rows(self.alg, rows)
+        return _products(self.alg, self.mat, other.mat, self.den * other.den)
 
     def intersect(self, other: "QuatLattice") -> "QuatLattice":
         self._compat(other)
         d = math.lcm(self.den, other.den)
-        ma = tuple(
-            tuple(c * (d // self.den) for c in row) for row in self.mat
-        )
-        mb = tuple(
-            tuple(c * (d // other.den) for c in row) for row in other.mat
-        )
-        return _canonical(self.alg, linalg.lattice_intersection(ma, mb), d)
+        meet = linalg.lattice_intersection(self._rows_over(d), other._rows_over(d))
+        return _canonical(self.alg, meet, d)
 
     def scale(self, r) -> "QuatLattice":
         r = Fraction(r)
         rows = [tuple(c * r.numerator for c in row) for row in self.mat]
         return _canonical(self.alg, rows, self.den * r.denominator)
 
-    def mul_left(self, el: QuatElement) -> "QuatLattice":
-        return QuatLattice.from_rows(self.alg, [el * b for b in self.basis_elements()])
-
     def mul_right(self, el: QuatElement) -> "QuatLattice":
-        return QuatLattice.from_rows(self.alg, [b * el for b in self.basis_elements()])
+        if not isinstance(el, QuatElement) or el.alg != self.alg:
+            raise ValidationError("algebra mismatch")
+        return _products(self.alg, self.mat, (el.num,), self.den * el.den)
 
     def conj_lattice(self) -> "QuatLattice":
-        return QuatLattice.from_rows(self.alg, [b.conj() for b in self.basis_elements()])
+        return _canonical(self.alg, [_conj(row) for row in self.mat], self.den)
 
     def _compat(self, other):
         if not isinstance(other, QuatLattice) or other.alg != self.alg:
@@ -314,15 +322,17 @@ class QuatLattice:
         return r.numerator
 
     def is_sublattice_of(self, other: "QuatLattice") -> bool:
-        return all(other.contains(b) for b in self.basis_elements())
+        return self.alg == other.alg and all(
+            other._solve(row, self.den) is not None for row in self.mat)
 
     # --- order structure ---
 
     def is_order(self) -> bool:
         if not self.contains(self.alg.one):
             return False
-        basis = self.basis_elements()
-        return all(self.contains(a * b) for a in basis for b in basis)
+        d = self.den * self.den
+        return all(self._solve(_mul(self.alg, a, b), d) is not None
+                   for a in self.mat for b in self.mat)
 
     def is_maximal_order(self) -> bool:
         """An order whose discriminant det(2 * Gram of nrd) is p^2; memoised."""
@@ -373,18 +383,30 @@ def left_order(lat: QuatLattice) -> QuatLattice:
     Memoised on lat: later calls return the first call's value.
     """
     if lat._left_order is None:
-        cands = [lat.mul_right(b.inverse()) for b in lat.basis_elements()]
+        # b^-1 = conj(b) / nrd(b), so lat * b^-1 is lat.mat * conj(row) / pair(row, row)
+        cands = [_products(lat.alg, lat.mat, (_conj(row),), _pair(lat.alg, row, row))
+                 for row in lat.mat]
         lat._left_order = functools.reduce(QuatLattice.intersect, cands)
     return lat._left_order
 
 
 def right_order(lat: QuatLattice) -> QuatLattice:
-    """{x : lat * x inside lat}, the left order of conj(lat).
+    """{x : lat * x inside lat}.
 
-    lat * x inside lat is conj(x) * conj(lat) inside conj(lat), and an
-    order is closed under conjugation.
+    When the left order of lat is memoised and maximal, lat is invertible
+    and conj(lat) * lat = nrd(lat) * O_R(lat) (Voight, Quaternion
+    Algebras, ch. 16): one HNF of the 16 products, and O_R(lat) is maximal
+    too.  Any other lattice takes the left order of conj(lat): lat * x
+    inside lat is conj(x) * conj(lat) inside conj(lat), and an order is
+    closed under conjugation.  Both give the same lattice.
     """
-    return left_order(lat.conj_lattice())
+    left = lat._left_order
+    if left is None or not left.is_maximal_order():
+        return left_order(lat.conj_lattice())
+    out = _products(lat.alg, [_conj(row) for row in lat.mat], lat.mat, lat.den * lat.den,
+                    1 / lat.nrd)
+    _ensure(out.is_maximal_order(), "the right order of an invertible lattice is maximal")
+    return out
 
 
 def has_left_order(lat: QuatLattice, order: QuatLattice) -> bool:
@@ -400,8 +422,9 @@ def has_left_order(lat: QuatLattice, order: QuatLattice) -> bool:
     lat._compat(order)
     if lat._left_order is not None:
         return lat._left_order == order
-    if not all(lat.contains(a * b) for a in order.basis_elements()
-               for b in lat.basis_elements()):
+    d = order.den * lat.den
+    if not all(lat._solve(_mul(lat.alg, a, b), d) is not None
+               for a in order.mat for b in lat.mat):
         return False
     if not order.is_maximal_order():
         return left_order(lat) == order
@@ -419,7 +442,7 @@ def connecting_ideal(o1: QuatLattice, o2: QuatLattice) -> QuatLattice:
     if not (o1.is_maximal_order() and o2.is_maximal_order()):
         raise ValidationError("connecting ideal needs maximal orders")
     n = o1.intersect(o2).index_in(o2)
-    ideal = o1.mul(o2).scale(n)
+    ideal = _products(o1.alg, o1.mat, o2.mat, o1.den * o2.den, n)
     _ensure(has_left_order(ideal, o1) and has_right_order(ideal, o2),
             "left and right orders of the connecting ideal")
     return ideal
@@ -453,43 +476,22 @@ def special_order(alg: QuatAlgebra) -> SpecialOrder:
     p, q = alg.p, alg.q
     half = Fraction(1, 2)
     if p % 4 == 3:
-        rows = [
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (0, half, 0, half),
-            (half, 0, half, 0),
-        ]
+        rows = [(1, 0, 0, 0), (0, 1, 0, 0), (0, half, 0, half), (half, 0, half, 0)]
         omega = alg.i
         f = qform.BinaryQF(1, 0, 1)
     elif p % 8 == 5:
-        rows = [
-            (1, 0, 0, 0),
-            (0, 1, 0, 0),
-            (half, -Fraction(1, 4), 0, Fraction(1, 4)),
-            (-half, half, half, 0),
-        ]
+        quarter = Fraction(1, 4)
+        rows = [(1, 0, 0, 0), (0, 1, 0, 0), (half, -quarter, 0, quarter), (-half, half, half, 0)]
         omega = alg.i
         f = qform.BinaryQF(1, 0, 2)
     else:
         c = arith.sqrt_mod_prime((-arith.inv_mod(p, q)) % q, q)
-        rows = [
-            (half, half, 0, 0),
-            (0, 0, half, half),
-            (0, Fraction(1, q), 0, Fraction(c, q)),
-            (0, 0, 0, 1),
-        ]
+        rows = [(half, half, 0, 0), (0, 0, half, half),
+                (0, Fraction(1, q), 0, Fraction(c, q)), (0, 0, 0, 1)]
         omega = alg.element(half, half, 0, 0)
         f = qform.BinaryQF(1, 1, (1 + q) // 4)
     order = QuatLattice.from_rows(alg, [alg.element(*r) for r in rows])
-    sub = QuatLattice.from_rows(
-        alg,
-        [
-            alg.one,
-            omega,
-            alg.j,
-            omega * alg.j,
-        ],
-    )
+    sub = QuatLattice.from_rows(alg, [alg.one, omega, alg.j, omega * alg.j])
     _ensure(order.is_maximal_order(), "the special order is maximal")
     _ensure(sub.is_sublattice_of(order), "the suborder lies in the special order")
     return SpecialOrder(alg, order, sub, omega, f)
@@ -501,7 +503,7 @@ def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:
         raise ValidationError("element must be nonzero")
     if not ideal.contains(el):
         raise ValidationError("element must lie in the ideal")
-    out = ideal.mul_right(el.conj()).scale(1 / ideal.nrd)
+    out = _products(ideal.alg, ideal.mat, (_conj(el.num),), ideal.den * el.den, 1 / ideal.nrd)
     _ensure(out.nrd == el.nrd() / ideal.nrd, "nrd of the equivalent ideal")
     return out
 
@@ -555,11 +557,12 @@ def ideal_equivalence_test(i1: QuatLattice, i2: QuatLattice):
     """
     if not has_left_order(i2, left_order(i1)):
         raise ValidationError("ideals must share their left order")
-    k = i1.conj_lattice().mul(i2)
+    k = _products(i1.alg, [_conj(row) for row in i1.mat], i2.mat, i1.den * i2.den)
     hits = list(lattice.enumerate_by_value(k.q_gram(), 1, lower=1))
     if not hits:
         return None
     gamma = k.element_from(hits[0][0])
     alpha = gamma.conj()
-    _ensure(i1.mul_right(gamma).scale(1 / i1.nrd) == i2, "i1 * gamma / N(i1) = i2")
+    _ensure(_products(i1.alg, i1.mat, (gamma.num,), i1.den * gamma.den, 1 / i1.nrd) == i2,
+            "i1 * gamma / N(i1) = i2")
     return alpha

@@ -118,3 +118,20 @@ def class_representatives_bfs(order, ell):
             reps.append(nb)
             queue.append(nb)
     return tuple(reps)
+
+
+def step_lattice_by_generators(order, ideal, w, ell):
+    """The neighbor order*w + ell*ideal, as the HNF of its 8 generators."""
+    rows = [b * w for b in order.basis_elements()]
+    rows += [b * ell for b in ideal.basis_elements()]
+    return quat.QuatLattice.from_rows(ideal.alg, rows)
+
+
+def right_order_by_intersection(lat):
+    """{x : lat * x inside lat}, as the left order of conj(lat)."""
+    return quat.left_order(lat.conj_lattice())
+
+
+def mul_right_scaled(lat, el, r):
+    """The lattice lat * el * r, from the element products, then scaled."""
+    return quat.QuatLattice.from_rows(lat.alg, [b * el for b in lat.basis_elements()]).scale(r)

@@ -3,17 +3,18 @@ equivalent-ideal transcript (KlptContext.verify() on tampered input), and
 the search's success rate at fixed seeds."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from quatpath import arith, eqsolver, klpt, lattice, quat
+from quatpath import arith, eqsolver, klpt, lattice, linalg, quat
 from quatpath.arith import Factorization
 from quatpath.errors import BudgetError, ValidationError
 
-from oracles import class_representatives_bfs, run_under_python_O
+from oracles import class_representatives_bfs, run_under_python_O, step_lattice_by_generators
 from test_golden import GOLDEN_TRANSCRIPT
 
 
@@ -96,6 +97,54 @@ def test_random_walk_endpoint(p):
         assert end.nrd == start.nrd * 72
         assert end.is_sublattice_of(start)
         assert quat.left_order(end) == o0
+
+
+@pytest.mark.parametrize("p", [103, 1019, 1013, 1009])
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_step_lattice_matches_generator_hnf(p, ell):
+    # every rank-one vector mod ell, from O0, a walked ideal and a norm-ell
+    # neighbour: the step solved mod ell against the HNF of 8 generators
+    o0, ideal = o0_and_ideal(p, random.Random(f"step/{p}"))
+    for start in (o0, ideal, klpt.ell_neighbors(o0, ell)[0]):
+        gram, steps = start.q_gram(), 0
+        for coeffs in itertools.product(range(ell), repeat=4):
+            if not any(coeffs) or gram.value_int(coeffs) % ell:
+                continue
+            w = start.element_from(coeffs)
+            assert klpt._step_lattice(o0, start, w, ell) == step_lattice_by_generators(
+                o0, start, w, ell)
+            steps += 1
+        assert steps == (ell + 1) * (ell * ell - 1)  # nonzero singular 2x2 matrices
+
+
+def test_step_lattice_postconditions_raise_under_optimize():
+    # python -O strips assert statements; a bad step must still raise.  1 is
+    # not in 2*O0, and it spans all of O0 mod 3, not a rank-one image
+    out = run_under_python_O("""
+from quatpath import klpt, quat
+alg = quat.construct_algebra(103)
+o0 = quat.special_order(alg).order
+for ideal, ell in ((o0.scale(2), 2), (o0, 3)):
+    try:
+        print("returned", klpt._step_lattice(o0, ideal, alg.one, ell))
+    except AssertionError as e:
+        print("AssertionError:", e)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "AssertionError: postcondition failed: each b*w lies in the ideal",
+        "AssertionError: postcondition failed: the image mod ell has rank 2"]
+
+
+def test_random_walk_hnf_calls_get_at_most_4_rows(monkeypatch):
+    o0 = quat.special_order(quat.construct_algebra(1019)).order
+    quat.left_order(o0)  # memoised before the count
+    sizes = []
+    hnf = linalg.hnf
+    monkeypatch.setattr(linalg, "hnf", lambda m: sizes.append(len(m)) or hnf(m))
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 8), (3, 4)), 1))
+    klpt.random_walk(o0, spec, random.Random(79))
+    assert len(sizes) == 12 and max(sizes) <= 4
 
 
 CLASS_PRIMES = [11, 13, 17, 19, 23, 29, 31, 37]

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quatpath import linalg
 
@@ -183,3 +185,10 @@ def test_lattice_intersection():
             v = tuple(rng.randrange(-6, 7) for _ in range(3))
             if in_lat(v, ia) and in_lat(v, ib):
                 assert in_lat(v, ik)
+
+
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.lists(st.lists(st.integers(-30, 30), min_size=4, max_size=4), min_size=1, max_size=6))
+def test_hnf_mod_prime_matches_hnf_with_ell_rows(ell, rows):
+    ell_rows = [tuple(ell * (k == j) for k in range(4)) for j in range(4)]
+    assert linalg.hnf_mod_prime(rows, ell) == linalg.hnf(tuple(map(tuple, rows)) + tuple(ell_rows))

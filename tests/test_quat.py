@@ -23,7 +23,7 @@ from quatpath.quat import (
     special_order,
 )
 
-from oracles import run_under_python_O
+from oracles import mul_right_scaled, right_order_by_intersection, run_under_python_O
 
 PRIMES = [13, 37, 97, 101, 103, 1019]
 
@@ -305,7 +305,7 @@ def test_orders_are_their_own_stabilizers():
         assert right_order(o0) == o0
         # a conjugated maximal order is again maximal with itself as stabilizer
         g = alg.element(1, 2, 0, 1)
-        og = o0.mul_left(g).mul_right(g.inverse())
+        og = QuatLattice.from_rows(alg, [g * b * g.inverse() for b in o0.basis_elements()])
         assert og.is_maximal_order()
         assert left_order(og) == og
 
@@ -554,6 +554,83 @@ def test_connecting_ideal_makes_one_intersection(monkeypatch):
     conn = connecting_ideal(o0, right)
     assert len(calls) == 1  # o1 meet o2, for the norm
     assert left_order(_fresh(conn)) == o0 and right_order(_fresh(conn)) == right
+
+
+@pytest.mark.parametrize("p", [1019, 1013, 1009])
+def test_right_order_matches_intersection_oracle(p):
+    o0 = special_order(construct_algebra(p)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 3), (3, 2)), 1))
+    rng = random.Random(f"right/{p}")
+    for _ in range(20):
+        ideal = klpt.random_walk(o0, spec, rng)
+        assert ideal._left_order == o0  # so right_order takes one product
+        assert right_order(ideal) == right_order_by_intersection(ideal)
+
+
+def test_right_order_of_a_walk_endpoint_makes_no_intersection(monkeypatch):
+    o0 = special_order(construct_algebra(1019)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 4), (3, 2)), 1))
+    ideal = klpt.random_walk(o0, spec, random.Random(80))
+    calls = _count_intersections(monkeypatch)
+    right = right_order(ideal)
+    assert calls == [] and right._is_maximal
+
+
+@pytest.mark.parametrize("p", [103, 1019, 1009])
+def test_right_order_without_maximal_left_order_intersects(monkeypatch, p):
+    # Z + 3*O0 and the skew lattice: their memoised left orders are not
+    # maximal, so right_order takes the left order of the conjugate
+    lats, _ = _certificate_cases(p)
+    calls = _count_intersections(monkeypatch)
+    for lat in (lats[5], lats[6]):
+        assert not left_order(lat).is_maximal_order()
+        calls.clear()
+        assert right_order(lat) == right_order_by_intersection(_fresh(lat))
+        assert calls
+
+
+def test_right_order_postcondition_raises_under_optimize():
+    # python -O strips assert statements; a wrong product must still raise.
+    # Z + 3*O0 is told its left order is O0, so conj(lam) * lam / nrd(lam),
+    # which is lam, is taken for its right order
+    out = run_under_python_O("""
+from quatpath import quat
+alg = quat.construct_algebra(103)
+o0 = quat.special_order(alg).order
+lam = quat.QuatLattice.from_rows(alg, [alg.one] + [b * 3 for b in o0.basis_elements()])
+lam._left_order = o0
+try:
+    print("returned", quat.right_order(lam))
+except AssertionError as e:
+    print("AssertionError:", e)
+""")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == (
+        "AssertionError: postcondition failed: the right order of an invertible lattice is maximal")
+
+
+def test_products_match_element_oracles():
+    o0 = special_order(construct_algebra(1013)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((5, 1), (7, 1)), 1))
+    rng = random.Random(81)
+    for _ in range(6):
+        i1 = klpt.random_walk(o0, spec, rng)
+        el = i1.element_from(tuple(rng.randrange(-5, 6) for _ in range(4)))
+        if el.is_zero():
+            continue
+        i2 = equiv_from_element(i1, el)
+        assert i2 == mul_right_scaled(i1, el.conj(), 1 / i1.nrd)
+        alpha = ideal_equivalence_test(i1, i2)
+        assert mul_right_scaled(i1, alpha.conj(), 1 / i1.nrd) == i2
+        assert i1.mul_right(el) == mul_right_scaled(i1, el, 1)
+
+
+def test_products_reject_another_algebra():
+    o103 = special_order(construct_algebra(103)).order
+    o101 = special_order(construct_algebra(101)).order
+    for bad in (lambda: o103.mul_right(o101.basis_elements()[1]), lambda: o103.mul(o101)):
+        with pytest.raises(ValidationError, match="algebra mismatch"):
+            bad()
 
 
 def test_equivalence_test_certifies_the_second_ideal_without_intersections(monkeypatch):
