@@ -20,9 +20,10 @@ table is built for disc(g), and it stays at the principal class.
 represent_in_O0 feeds the special order's norm form through the same
 pipeline.
 
-Local solvability at each prime r of det(gamma) is one Legendre symbol on
-the value of f at the image line of gamma mod r; mod |disc f| it is read
-off one scan of f's values.
+local_obstruction(inst), the one solvability check, names the modulus where
+solve_master cannot reach a solution: at each prime r of det(gamma) one
+Legendre symbol on f at the image line of gamma mod r; mod |disc f| one
+scan of f's values, read as the admissible residues for prime z-values.
 
 Everything here is exact integer arithmetic; every returned tuple is
 checked against its defining equation before it escapes.
@@ -45,6 +46,7 @@ __all__ = [
     "sample_az_plus_bg",
     "genus_randomizer_B",
     "lift_genus_solution",
+    "local_obstruction",
     "solve_master",
     "represent_in_O0",
     "GENUS_ENUM_DISC_BOUND",
@@ -378,22 +380,26 @@ def _image_value(f, gamma, r):
     return f.value(*w) % r
 
 
-def _check_local_at_det(inst):
-    """The theorem's own precondition: b*g(x,y) = n must be solvable modulo
-    r^(2k) for each prime power r^k of det(gamma).
+def local_obstruction(inst):
+    """None, or (m, reason): why solve_master cannot solve inst modulo m.
 
-    rho is invertible at these primes, so g may be replaced by f o gamma =
-    f(w)*L^2 mod r.  A solution mod r needs f(w) != 0 and n/(b*f(w)) a
-    square mod r; conversely such a solution has L != 0, where the
-    gradient 2*f(w)*L*grad(L) is a unit (r is odd), so Hensel's lemma
-    lifts it to every power of r.  The exponent k plays no part.
+    At each prime power r^k of det(gamma), m = r: the equation must be
+    solvable modulo r^(2k).  rho is invertible there, so g may be replaced
+    by f o gamma = f(w)*L^2 mod r: a solution mod r needs f(w) != 0 and
+    n/(b*f(w)) a square mod r; conversely such a solution has L != 0, where
+    the gradient 2*f(w)*L*grad(L) is a unit (r is odd), so Hensel's lemma
+    lifts it to every power of r.  The exponent k plays no part.  Mod
+    m = |disc f| the solver keeps only prime z-values in u_residues; with
+    none it cannot reach n, even where a z sharing a prime with disc f would.
     """
     for r, k in inst.det_fac.factors:
         lam = _image_value(inst.f, inst.gamma, r)
         if lam == 0 or arith.kronecker(inst.n * arith.inv_mod(inst.b * lam, r), r) != 1:
-            raise ValidationError(
-                f"no local solution modulo {r}^{2 * k} of det(gamma)^2"
-            )
+            return r, f"no local solution modulo {r}^{2 * k} of det(gamma)^2"
+    if not inst.u_residues:
+        return inst.chi_mod, (f"no admissible residue modulo |disc f| = {inst.chi_mod}: "
+                              "the solver's z-values, all prime to it, cannot reach n there")
+    return None
 
 
 def lift_genus_solution(inst, sol):
@@ -456,15 +462,12 @@ def solve_master(inst, rng):
     does not fit falls back to the principal class, d = 1 and h = g reduced.
     The sampler's set-up for a resolved class is built on its first attempt
     and drawn from on every later one, so an attempt costs one draw.
-    Raises ValidationError on a local obstruction and BudgetError when the
-    attempt budget runs out.
+    Raises ValidationError with the reason local_obstruction(inst) gives,
+    and BudgetError when the attempt budget runs out.
     """
-    _check_local_at_det(inst)
-    if not inst.u_residues:
-        raise ValidationError(
-            "no admissible residue class modulo disc(f): the equation has "
-            "a local obstruction"
-        )
+    obstruction = local_obstruction(inst)
+    if obstruction is not None:
+        raise ValidationError(obstruction[1])
     g_red, mg = qform.reduce_form(inst.g)
     dg = inst.g.disc
     m_b = 2 * inst.n * inst.b * abs(dg)
@@ -510,8 +513,9 @@ def solve_master(inst, rng):
             if k_form not in prepared:
                 prepared[k_form] = _az_plus_bg_sampler(inst.a, inst.b * d * d,
                                                        inst.n, h, inst.a_fac)
-            draw = prepared[k_form]
-            res = None if draw is None else draw(rng)
+                # the screen at det(gamma), rho at b0 and h in g's genus
+                _ensure(prepared[k_form] is not None, "a root class mod a")
+            z, x1, y1 = prepared[k_form](rng)
         except BudgetError:
             stats["empty_window"] += 1
             if stuck:
@@ -523,12 +527,6 @@ def solve_master(inst, rng):
                 ) from None
             # the admissible cosets miss the ellipsoid at this h; retry
             continue
-        if res is None:
-            raise ValidationError(
-                "no local solution modulo a; rho crafting cannot reach "
-                "this instance"
-            )
-        z, x1, y1 = res
         if not arith.is_prime(z):
             stats["z_composite"] += 1
             continue
@@ -570,10 +568,8 @@ def represent_in_O0(alg, n, rng):
     if n1 == 1:
         out = alg.one
     else:
-        inst = equation_instance(so.f, qform._ID2, p, n1,
-                                 det_fac=Factorization((), 1))
-        s, t, x, y = solve_master(inst, rng)
-        out = so.embed(s, t, x, y)
+        inst = equation_instance(so.f, qform._ID2, p, n1, det_fac=Factorization((), 1))
+        out = so.embed(*solve_master(inst, rng))
     for _ in range(e):
         out = alg.j * out
     _ensure(out.nrd() == n, "nrd of the norm representative")

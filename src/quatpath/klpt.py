@@ -226,10 +226,20 @@ def ideal_class_representatives(order, ell: int = 2):
 # the equivalence search
 
 
+# every reason a round can be filed under; the first three are the hunt's
+ROUND_FAILURES = frozenset((
+    "no admissible residue class found", "prime window holds no prime",
+    "prime window too large to enumerate", "no admissible prime norm",
+    "prime norm has no admissible residue mod disc(f)", "prime norm not represented",
+    "line pairing fixed point", "isotropic coefficient line",
+    "no admissible residue mod disc(f)", "norm window empty"))
+
+
 class _RoundRetry(Exception):
     """One search round failed for a transient reason; try a fresh one."""
 
     def __init__(self, reason):
+        _ensure(reason in ROUND_FAILURES, f"round failure reason declared: {reason}")
         self.reason = reason
         super().__init__(reason)
 
@@ -386,8 +396,7 @@ def _extra_exponent(f, g, n, p, n2v, ell):
 
 
 def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
-    alg = so.alg
-    p = alg.p
+    p = so.alg.p
     n2v = n2.value()
     walked = random_walk(ideal, spec, rng)
     pick = None
@@ -408,10 +417,12 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
     if pick is None:
         raise _RoundRetry("no admissible prime norm")
     prime_ideal, wit, n = pick
+    # represent_in_O0's path for a prime n != p, with n's instance screened
     try:
-        norm_rep = eqsolver.represent_in_O0(alg, n, rng)
-    except ValidationError:
-        raise _RoundRetry("prime norm has no local solution") from None
+        rep = eqsolver.equation_instance(so.f, qform._ID2, p, n, det_fac=Factorization((), 1))
+        if eqsolver.local_obstruction(rep) is not None:
+            raise _RoundRetry("prime norm has no admissible residue mod disc(f)")
+        norm_rep = so.embed(*eqsolver.solve_master(rep, rng))
     except BudgetError:
         raise _RoundRetry("prime norm not represented") from None
     line = _line_select(so, prime_ideal, n, norm_rep)
@@ -423,17 +434,14 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
         raise _RoundRetry("isotropic coefficient line")
     target = n2v * ell**e
     try:
-        inst = eqsolver.equation_instance(
-            so.f, g, p, target, det_fac=Factorization(((n, 1),), 1)
-        )
-        if not inst.u_residues:
-            # _extra_exponent settles solvability mod n only; mod |disc f|
-            # the instance can still keep no residue (p = 3 mod 4 with
-            # n2 = 1 mod 4 and e = 1)
+        inst = eqsolver.equation_instance(so.f, g, p, target, det_fac=Factorization(((n, 1),), 1))
+        obstruction = eqsolver.local_obstruction(inst)
+        if obstruction is not None:
+            # _extra_exponent settled solvability mod n, so only mod |disc f|
+            # can the instance keep no residue (p = 3 mod 4, n2 = 1 mod 4, e = 1)
+            _ensure(obstruction[0] == inst.chi_mod, f"solvable mod the prime norm: {obstruction}")
             raise _RoundRetry("no admissible residue mod disc(f)")
         s, t, x, y = eqsolver.solve_master(inst, rng)
-    except ValidationError:
-        raise _RoundRetry("local obstruction") from None
     except BudgetError:
         raise _RoundRetry("norm window empty") from None
     xp, yp = qform._apply(g, (x, y))

@@ -131,12 +131,6 @@ class QuatElement:
         self._check(other)
         return Fraction(_pair(self.alg, self.num, other.num), self.den * other.den)
 
-    def inverse(self) -> "QuatElement":
-        n = _pair(self.alg, self.num, self.num)
-        if n == 0:
-            raise ValidationError("zero is not invertible")
-        return QuatElement(self.alg, tuple(c * self.den for c in self.conj().num), n)
-
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -187,7 +181,8 @@ class QuatLattice:
     one global denominator, with the gcd of everything pulled out, so the
     representation is unique per lattice.  A lattice is never mutated, so
     its left order and whether it is a maximal order are computed once, by
-    the first left_order (or has_left_order) and is_maximal_order calls.
+    the first left_order (or has_left_order) and is_maximal_order calls,
+    or handed on by equiv_from_element.
     """
 
     __slots__ = ("alg", "den", "mat", "gram_scaled", "nrd", "_left_order", "_is_maximal")
@@ -505,6 +500,7 @@ def equiv_from_element(ideal: QuatLattice, el: QuatElement) -> QuatLattice:
         raise ValidationError("element must lie in the ideal")
     out = _products(ideal.alg, ideal.mat, (_conj(el.num),), ideal.den * el.den, 1 / ideal.nrd)
     _ensure(out.nrd == el.nrd() / ideal.nrd, "nrd of the equivalent ideal")
+    out._left_order = ideal._left_order  # I*x has I's left order
     return out
 
 

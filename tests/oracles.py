@@ -127,6 +127,13 @@ def step_lattice_by_generators(order, ideal, w, ell):
     return quat.QuatLattice.from_rows(ideal.alg, rows)
 
 
+def inverse(el):
+    """The inverse conj(el) / nrd(el) of a quaternion; ValidationError for zero."""
+    if el.is_zero():
+        raise ValidationError("zero is not invertible")
+    return el.conj() * (1 / el.nrd())
+
+
 def right_order_by_intersection(lat):
     """{x : lat * x inside lat}, as the left order of conj(lat)."""
     return quat.left_order(lat.conj_lattice())

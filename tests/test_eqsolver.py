@@ -596,12 +596,9 @@ def image_values(f, basis, mod):
 
 
 def local_check_passes(f, gamma, det_fac, b, n):
-    inst = SimpleNamespace(f=f, gamma=gamma, det_fac=det_fac, b=b, n=n)
-    try:
-        eqsolver._check_local_at_det(inst)
-    except ValidationError:
-        return False
-    return True
+    # a nonempty u_residues leaves the primes of det(gamma) to decide
+    inst = SimpleNamespace(f=f, gamma=gamma, det_fac=det_fac, b=b, n=n, u_residues=(1,))
+    return eqsolver.local_obstruction(inst) is None
 
 
 def test_local_check_matches_scan():
@@ -646,9 +643,12 @@ def test_local_check_beyond_the_old_scan():
     assert arith.kronecker(good * arith.inv_mod(103, 1009), 1009) == 1
     assert arith.kronecker(bad * arith.inv_mod(103, 1009), 1009) == -1
     inst = equation_instance(f, gamma, 103, good)
+    assert eqsolver.local_obstruction(inst) is None
     check_master(inst, random.Random(21))
     inst = equation_instance(f, gamma, 103, bad)
     assert inst.u_residues
+    assert eqsolver.local_obstruction(inst) == (
+        1009, "no local solution modulo 1009^2 of det(gamma)^2")
     with pytest.raises(ValidationError, match="modulo 1009"):
         solve_master(inst, random.Random(21))
 

@@ -2,6 +2,7 @@
 equivalent-ideal transcript (KlptContext.verify() on tampered input), and
 the search's success rate at fixed seeds."""
 
+import ast
 import hashlib
 import itertools
 import random
@@ -281,8 +282,17 @@ def test_extra_exponent_check_raises():
 # success rate of the equivalent-ideal search at fixed seeds
 
 
+def round_failures(result):
+    """The failure tally of a search: a KlptContext's, or the final BudgetError's."""
+    if isinstance(result, klpt.KlptContext):
+        return result.failures
+    msg = str(result)
+    return ast.literal_eval(msg[msg.index("failures ") + len("failures "):])
+
+
 def search_outcomes(p, n2, seeds):
-    """{seed: verified output or the BudgetError} of equiv_ideal_context from O0."""
+    """{seed: verified output or the BudgetError} of equiv_ideal_context from
+    O0, each checked to have filed only declared round failures."""
     o0 = quat.special_order(quat.construct_algebra(p)).order
     n1 = Factorization(((3, 2),), 1)
     out = {}
@@ -291,10 +301,11 @@ def search_outcomes(p, n2, seeds):
             ctx = klpt.equiv_ideal_context(o0, n1, n2, 2, random.Random(seed))
         except BudgetError as e:
             out[seed] = e
-            continue
-        assert ctx.verify()
-        assert ctx.output.norm() == 9 * n2.value() * 2**ctx.extra_exp
-        out[seed] = ctx
+        else:
+            assert ctx.verify()
+            assert ctx.output.norm() == 9 * n2.value() * 2**ctx.extra_exp
+            out[seed] = ctx
+        assert set(round_failures(out[seed])) <= klpt.ROUND_FAILURES
     return out
 
 
@@ -331,9 +342,9 @@ def test_search_at_a_61_bit_prime():
 
 def test_disc_f_obstruction_has_its_own_reason():
     # at p = 103 (f = x^2 + y^2) one of seed 7's rounds builds a master
-    # instance that keeps no residue mod |disc f| = 4; that is not a
-    # "local obstruction" at det(gamma).  Filing it apart moves no rng
-    # draw: the search still ends in round 3
+    # instance that keeps no residue mod |disc f| = 4, not an obstruction
+    # at det(gamma), which _extra_exponent rules out.  The screen runs
+    # before any rng draw: the search still ends in round 3
     o0 = quat.special_order(quat.construct_algebra(103)).order
     ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
                                    Factorization(((5, 20),), 1), 2, random.Random(7))
@@ -342,57 +353,112 @@ def test_disc_f_obstruction_has_its_own_reason():
                             "no admissible residue mod disc(f)": 1}
 
 
-def search_with_failing_norm_rep(monkeypatch, error):
-    """The p = 103 transcript search with its first represent_in_O0 call
-    raising error; every later call is the real one."""
-    represent = eqsolver.represent_in_O0
+def search_with_first_call(monkeypatch, owner, name, first):
+    """The p = 103 transcript search, or its BudgetError, with the first call
+    of owner.name replaced by first(real, *args); later calls are real."""
+    real = getattr(owner, name)
     calls = []
 
-    def failing_once(alg, n, rng):
-        calls.append(n)
-        if len(calls) == 1:
-            raise error("injected")
-        return represent(alg, n, rng)
+    def once(*args):
+        calls.append(args)
+        return first(real, *args) if len(calls) == 1 else real(*args)
 
-    monkeypatch.setattr(eqsolver, "represent_in_O0", failing_once)
+    monkeypatch.setattr(owner, name, once)
     o0 = quat.special_order(quat.construct_algebra(103)).order
-    ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
-                                   Factorization(((5, 20),), 1), 2, random.Random(0))
-    monkeypatch.undo()
-    return ctx
+    try:
+        return klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
+                                        Factorization(((5, 20),), 1), 2, random.Random(0))
+    except BudgetError as e:
+        return e
+    finally:
+        monkeypatch.undo()
+
+
+def raising(error):
+    def first(real, *args):
+        raise error("injected")
+    return first
 
 
 def test_norm_rep_failure_has_its_own_reason(monkeypatch):
-    # a prime norm represent_in_O0 rejects as locally unsolvable is not one
-    # it gave up on; both fail before drawing, so the searches differ only
-    # in the reason filed for that round
-    unsolvable = search_with_failing_norm_rep(monkeypatch, ValidationError)
-    gave_up = search_with_failing_norm_rep(monkeypatch, BudgetError)
-    assert unsolvable.failures["prime norm has no local solution"] == 1
-    assert "prime norm has no local solution" not in gave_up.failures
-    moved = Counter(unsolvable.failures)
-    moved["prime norm has no local solution"] -= 1
-    moved["prime norm not represented"] += 1
-    assert +moved == Counter(gave_up.failures)
-    assert unsolvable.rounds == gave_up.rounds
-    assert unsolvable.output == gave_up.output
+    # a prime norm whose solve gives up is filed as not represented; it fails
+    # before drawing, so the search ends where it did when the round called
+    # represent_in_O0 for the prime norm
+    gave_up = search_with_first_call(monkeypatch, eqsolver, "solve_master",
+                                     raising(BudgetError))
+    assert gave_up.failures == {"prime norm not represented": 3,
+                                "line pairing fixed point": 4,
+                                "no admissible residue mod disc(f)": 3}
+    assert gave_up.rounds == 11
+    assert hashlib.sha256(gave_up.output.to_json().encode()).hexdigest() == \
+        "82ffbc2cb70a3442bb91fd53d1f13628b74c87e5a4a52d2f51710de559abe9d9"
+    # a ValidationError is a caller's mistake, not a failed round: it escapes
+    with pytest.raises(ValidationError, match="injected"):
+        search_with_first_call(monkeypatch, eqsolver, "solve_master",
+                               raising(ValidationError))
+
+
+def test_obstruction_at_the_prime_norm_is_a_bug(monkeypatch):
+    # _extra_exponent picks the e that makes the master equation solvable
+    # mod N, so the other e obstructs there: a failed _ensure, not a round
+    def flipped(real, *args):
+        e = real(*args)
+        return None if e is None else 1 - e
+
+    with pytest.raises(AssertionError, match="solvable mod the prime norm"):
+        search_with_first_call(monkeypatch, klpt, "_extra_exponent", flipped)
+
+
+class _Zeros(random.Random):
+    """An rng whose randrange always returns 0."""
+
+    def randrange(self, *args):
+        return 0
+
+
+def hunt_without_draws(monkeypatch):
+    """first(real, *args) for the hunt: no ellipsoid draw accepts and the
+    enumeration may visit no node."""
+    def first(real, *args):
+        with monkeypatch.context() as m:
+            m.setattr(lattice, "_BOX_TRIES", 0)
+            m.setattr(lattice, "_NODE_BUDGET", 0)
+            return real(*args)
+    return first
+
+
+def test_every_round_failure_is_reached(monkeypatch):
+    # seeds reach six reasons; monkeypatched stages reach the other four
+    reached = Counter()
+    for p, k, seed in ((103, 20, 1), (103, 16, 1), (1097, 24, 0)):
+        reached.update(round_failures(search_outcomes(p, Factorization(((5, k),), 1),
+                                                      [seed])[seed]))
+    # p = 1097 = 17 mod 24 has q = 3: f = x^2 + xy + y^2 is 0 or 1 mod 3 and
+    # p = 2 mod 3, so every prime norm N = 2 mod 3 keeps no residue mod 3
+    assert reached["prime norm has no admissible residue mod disc(f)"] == 30
+    stages = [
+        (quat, "equiv_prime_large_nonresidue",
+         lambda real, ideal, rho, ell, rng: real(ideal, rho, ell, _Zeros()),
+         "no admissible residue class found"),
+        (quat, "equiv_prime_large_nonresidue", hunt_without_draws(monkeypatch),
+         "prime window too large to enumerate"),
+        (klpt, "_extra_exponent", lambda real, *args: None, "isotropic coefficient line"),
+    ]
+    for owner, name, first, reason in stages:
+        tally = round_failures(search_with_first_call(monkeypatch, owner, name, first))
+        assert tally[reason] == 1, (name, tally)
+        reached.update(tally)
+    monkeypatch.setattr(klpt, "PRIME_DRAWS_PER_ROUND", 0)
+    tally = round_failures(search_outcomes(103, Factorization(((5, 20),), 1), [0])[0])
+    assert tally == {"no admissible prime norm": klpt.ROUND_CAP}
+    reached.update(tally)
+    assert set(reached) == klpt.ROUND_FAILURES
 
 
 def test_prime_hunt_failure_keeps_its_reason(monkeypatch):
     # a round whose prime hunt raises is filed under the hunt's own message
-    hunt = quat.equiv_prime_large_nonresidue
-    calls = []
-
-    def failing_once(*args):
-        calls.append(args)
-        if len(calls) == 1:
-            raise BudgetError("prime window too large to enumerate")
-        return hunt(*args)
-
-    monkeypatch.setattr(quat, "equiv_prime_large_nonresidue", failing_once)
-    o0 = quat.special_order(quat.construct_algebra(103)).order
-    ctx = klpt.equiv_ideal_context(o0, Factorization(((3, 2),), 1),
-                                   Factorization(((5, 20),), 1), 2, random.Random(0))
+    ctx = search_with_first_call(monkeypatch, quat, "equiv_prime_large_nonresidue",
+                                 hunt_without_draws(monkeypatch))
     assert ctx.failures["prime window too large to enumerate"] == 1
     assert ctx.verify()
 

@@ -23,7 +23,7 @@ from quatpath.quat import (
     special_order,
 )
 
-from oracles import mul_right_scaled, right_order_by_intersection, run_under_python_O
+from oracles import inverse, mul_right_scaled, right_order_by_intersection, run_under_python_O
 
 PRIMES = [13, 37, 97, 101, 103, 1019]
 
@@ -93,7 +93,7 @@ def test_element_algebra_laws():
             # pairing is the polarization of nrd
             assert (a + b).nrd() == a.nrd() + b.nrd() + 2 * a.pairing(b)
             if not a.is_zero():
-                assert a * a.inverse() == alg.one
+                assert a * inverse(a) == alg.one
 
 
 def rand_rational(rng):
@@ -130,7 +130,7 @@ def test_equal_values_compare_and_hash_equal():
         (half, QuatElement(alg, (-3, 0, 0, 0), 1) * Fraction(-1, 6)),
         (alg.element(0, Fraction(1, 2), 0, 0), (alg.i * 2) * Fraction(1, 4)),
         (alg.element(0, 0, 0, 0), half - half),
-        (alg.one, (alg.i + alg.j).inverse() * (alg.i + alg.j)),
+        (alg.one, inverse(alg.i + alg.j) * (alg.i + alg.j)),
         (QuatElement(alg, (4, 6, 8, 10), 4), alg.element(1, Fraction(3, 2), 2, Fraction(5, 2))),
     ]
     for a, b in pairs:
@@ -305,7 +305,7 @@ def test_orders_are_their_own_stabilizers():
         assert right_order(o0) == o0
         # a conjugated maximal order is again maximal with itself as stabilizer
         g = alg.element(1, 2, 0, 1)
-        og = QuatLattice.from_rows(alg, [g * b * g.inverse() for b in o0.basis_elements()])
+        og = QuatLattice.from_rows(alg, [g * b * inverse(g) for b in o0.basis_elements()])
         assert og.is_maximal_order()
         assert left_order(og) == og
 
@@ -574,6 +574,18 @@ def test_right_order_of_a_walk_endpoint_makes_no_intersection(monkeypatch):
     calls = _count_intersections(monkeypatch)
     right = right_order(ideal)
     assert calls == [] and right._is_maximal
+
+
+def test_right_order_of_a_prime_norm_ideal_makes_no_intersection(monkeypatch):
+    # equiv_from_element carries I's left order over to I*x
+    o0 = special_order(construct_algebra(1019)).order
+    spec = klpt.WalkSpec.from_norm(Factorization(((2, 4), (3, 2)), 1))
+    rng = random.Random(5)
+    prime, _ = equiv_prime_large_nonresidue(klpt.random_walk(o0, spec, rng), 1019, 2, rng)
+    calls = _count_intersections(monkeypatch)
+    right = right_order(prime)
+    assert calls == []
+    assert right == right_order_by_intersection(_fresh(prime))
 
 
 @pytest.mark.parametrize("p", [103, 1019, 1009])
