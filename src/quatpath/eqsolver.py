@@ -550,6 +550,11 @@ def solve_master(inst, rng):
 # representing integers by the reduced norm on O0
 
 
+def _o0_instance(so, n):
+    """Nrd = n on O0, n prime to p: f(s,t) + p*f(x,y) = n, gamma the identity."""
+    return equation_instance(so.f, qform._ID2, so.alg.p, n, det_fac=Factorization((), 1))
+
+
 def represent_in_O0(alg, n, rng):
     """A random alpha in O0 with Nrd(alpha) = n.
 
@@ -568,8 +573,7 @@ def represent_in_O0(alg, n, rng):
     if n1 == 1:
         out = alg.one
     else:
-        inst = equation_instance(so.f, qform._ID2, p, n1, det_fac=Factorization((), 1))
-        out = so.embed(*solve_master(inst, rng))
+        out = so.embed(*solve_master(_o0_instance(so, n1), rng))
     for _ in range(e):
         out = alg.j * out
     _ensure(out.nrd() == n, "nrd of the norm representative")

@@ -244,6 +244,14 @@ class _RoundRetry(Exception):
         super().__init__(reason)
 
 
+class SearchFailed(BudgetError):
+    """The search used up its ROUND_CAP rounds; failures tallies their reasons."""
+
+    def __init__(self, failures: dict):
+        self.failures = failures
+        super().__init__(f"no equivalent ideal found in {ROUND_CAP} rounds; failures {failures}")
+
+
 @dataclass
 class KlptContext:
     """Transcript of one successful equivalence search.
@@ -419,7 +427,7 @@ def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
     prime_ideal, wit, n = pick
     # represent_in_O0's path for a prime n != p, with n's instance screened
     try:
-        rep = eqsolver.equation_instance(so.f, qform._ID2, p, n, det_fac=Factorization((), 1))
+        rep = eqsolver._o0_instance(so, n)
         if eqsolver.local_obstruction(rep) is not None:
             raise _RoundRetry("prime norm has no admissible residue mod disc(f)")
         norm_rep = so.embed(*eqsolver.solve_master(rep, rng))
@@ -478,8 +486,8 @@ def equiv_ideal_context(ideal, n1, n2, ell, rng):
     Each round walks afresh, reduces to a fresh prime norm with ell a
     non-residue, pairs the prime against a norm representative, and
     hands the resulting two-layer norm equation to the master solver.
-    Transient failures retry up to ROUND_CAP times; the final error
-    carries the failure tally.
+    Transient failures retry up to ROUND_CAP times; then SearchFailed, a
+    BudgetError, carries the failure tally.
     """
     alg = ideal.alg
     so = quat.special_order(alg)
@@ -507,9 +515,7 @@ def equiv_ideal_context(ideal, n1, n2, ell, rng):
             )
         except _RoundRetry as r:
             failures[r.reason] += 1
-    raise BudgetError(
-        f"no equivalent ideal found in {ROUND_CAP} rounds; failures {dict(failures)}"
-    )
+    raise SearchFailed(dict(failures))
 
 
 def equiv_ideal(ideal, n1, n2, ell, rng):

@@ -5,9 +5,9 @@ is Z^r, the geometry comes from f(x) = x^T G x.  The package builds them
 for its rank-4 quaternion lattices.  The rank-2 layer (reduce_binary and
 the *_dim2 functions) instead takes a positive definite binary form, a
 qform.BinaryQF, and reads its integer coefficients a, b, c; over a reduced
-basis one row formula serves counting, enumeration and the exact coset
-sampler.  A coset shift is the integer triple (q1, q2, d), the point
-(q1, q2)/d.
+basis one box, plain integers of any size, and one row formula serve
+counting, enumeration and the exact coset sampler.  A coset shift is the
+integer triple (q1, q2, d), the point (q1, q2)/d.
 Everything is exact integer arithmetic, never floats: a GramForm holds
 the integer matrix 2G, and LLL, Fincke-Pohst enumeration and the
 ellipsoid sampler share one integral Gram-Schmidt computation.  The only
@@ -198,21 +198,6 @@ def _to_input(z, u) -> tuple[int, int]:
     return (z[0] * u[0][0] + z[1] * u[1][0], z[0] * u[0][1] + z[1] * u[1][1])
 
 
-def _reduced_coset(form, shift):
-    """((a, b, c), U, (p1, p2, d)) for the point set {x : f(x + s) <= rho}.
-
-    shift = (q1, q2, d) is the point s = (q1, q2)/d, integers with d >= 1,
-    in lowest terms or not.  The set is {x' U : f_red(x' + s') <= rho} with
-    (a, b, c) reduced and s' = s U^-1 = (p1, p2)/d.  U is in SL2(Z), so
-    U^-1 is integral and s' keeps the denominator d.
-    """
-    q1, q2, d = shift
-    if d < 1:
-        raise ValidationError("the shift's denominator d must be at least 1")
-    (a, b, c), u = reduce_binary(form.a, form.b, form.c)
-    return (a, b, c), u, (q1 * u[1][1] - q2 * u[1][0], q2 * u[0][0] - q1 * u[0][1], d)
-
-
 # Up to this many box rows the coset sampler scans them all, which is
 # exact at any point count and finds an empty set.  Past it a reduced form
 # has long rows too, so a drawn box point lands inside with probability
@@ -224,18 +209,29 @@ _FEW_ROWS = 32
 _ROW_TRIES = 1000
 
 
-def _box(a: int, b: int, c: int, p2: int, d: int, rho: int) -> tuple[range, int]:
-    """(rows, W): the box around {x : f(x + (p1, p2)/d) <= rho}, f reduced.
+def _coset_box(form, shift, rho: int):
+    """((a, b, c), U, (p1, p2, d), (first, count, W)) for {x : f(x + s) <= rho}.
 
-    rows holds the x2 with disc4*n^2 <= 4a*rho*d^2, n = x2*d + p2: every
-    point inside has one, at each of them _row's square root is real, and
-    there are at most 4*sqrt(a*rho/disc4) + 1.  W = isqrt(4*rho/a) + 2 is
-    above the point count of every row, an interval of length at most
-    2*sqrt(rho/a) in x1.
+    shift = (q1, q2, d) is the point s = (q1, q2)/d, integers with d >= 1,
+    in lowest terms or not.  The set is {x' U : f_red(x' + s') <= rho} with
+    (a, b, c) reduced and s' = s U^-1 = (p1, p2)/d; U is in SL2(Z), so s'
+    keeps the denominator d.  The box, plain integers of any size, is the
+    count rows x2 from first with disc4*n^2 <= 4a*rho*d^2, n = x2*d + p2:
+    every point inside has one, at each _row's square root is real, and
+    count <= 4*sqrt(a*rho/disc4) + 1 (0 for rho < 0).  W = isqrt(4*rho/a) + 2
+    is above every row's point count, as a row spans at most 2*sqrt(rho/a).
     """
+    q1, q2, d = shift
+    if d < 1:
+        raise ValidationError("the shift's denominator d must be at least 1")
+    (a, b, c), u = reduce_binary(form.a, form.b, form.c)
+    p1, p2 = q1 * u[1][1] - q2 * u[1][0], q2 * u[0][0] - q1 * u[0][1]
+    if rho < 0:
+        return (a, b, c), u, (p1, p2, d), (0, 0, 0)
     nbound = math.isqrt(4 * a * rho * d * d // (4 * a * c - b * b))
-    rows = range(-((nbound + p2) // d), (nbound - p2) // d + 1)
-    return rows, math.isqrt(4 * rho // a) + 2
+    first = -((nbound + p2) // d)
+    count = (nbound - p2) // d + 1 - first
+    return (a, b, c), u, (p1, p2, d), (first, count, math.isqrt(4 * rho // a) + 2)
 
 
 def _row(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int, x2: int):
@@ -243,7 +239,8 @@ def _row(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int, x2: int):
 
     With m = x1*d + p1 and n = x2*d + p2, a point is inside iff
     (2am + bn)^2 <= 4a*rho*d^2 - disc4*n^2, a nonnegative bound for x2 in
-    the rows of _box.  Exact integer arithmetic; lo > hi for an empty row.
+    the rows of _coset_box.  Exact integer arithmetic; lo > hi for an empty
+    row.
     """
     n = x2 * d + p2
     # |2am + bn| <= isqrt(bound) exactly, as 2am + bn is an integer
@@ -253,11 +250,11 @@ def _row(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int, x2: int):
     return -((p1 - m_lo) // d), (m_hi - p1) // d
 
 
-def _rows(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int):
+def _rows(a: int, b: int, c: int, p1: int, p2: int, d: int, rho: int, first: int, count: int):
     """The nonempty rows (x2, lo, hi) of {x : f(x + (p1, p2)/d) <= rho}, f
-    reduced, x2 ascending: one pass per row of the box, however many points
-    the rows hold."""
-    for x2 in _box(a, b, c, p2, d, rho)[0]:
+    reduced, x2 ascending: one pass per row of the box (first, count),
+    however many points the rows hold.  Callers check count first."""
+    for x2 in range(first, first + count):
         lo, hi = _row(a, b, c, p1, p2, d, rho, x2)
         if lo <= hi:
             yield x2, lo, hi
@@ -271,27 +268,21 @@ def count_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> int:
     `budget` caps the row count; the number of points inside plays no
     role in the work done.
     """
-    (a, b, c), _, (p1, p2, d) = _reduced_coset(form, shift)
-    if rho < 0:
-        return 0
-    box_rows = len(_box(a, b, c, p2, d, rho)[0])
-    if box_rows > budget:
-        raise BudgetError(f"enumeration rows {box_rows} exceed budget {budget}")
-    return sum(hi - lo + 1 for _, lo, hi in _rows(a, b, c, p1, p2, d, rho))
+    (a, b, c), _, (p1, p2, d), (first, count, _) = _coset_box(form, shift, rho)
+    if count > budget:
+        raise BudgetError(f"enumeration rows {count} exceed budget {budget}")
+    return sum(hi - lo + 1 for _, lo, hi in _rows(a, b, c, p1, p2, d, rho, first, count))
 
 
 def enumerate_ellipsoid_dim2(form, shift, rho: int, budget: int = 10**8) -> list:
     """All x in Z^2 with f(x + (q1, q2)/d) <= rho, shift = (q1, q2, d), by
     the same row scan as count_ellipsoid_dim2.  Refuses oversized boxes."""
-    (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
-    if rho < 0:
-        return []
-    xs, w = _box(a, b, c, p2, d, rho)
-    if len(xs) * w > budget:
-        raise BudgetError(f"enumeration box {len(xs)}x{w} exceeds budget {budget}")
+    (a, b, c), u, (p1, p2, d), (first, count, w) = _coset_box(form, shift, rho)
+    if count * w > budget:
+        raise BudgetError(f"enumeration box {count}x{w} exceeds budget {budget}")
     return [
         _to_input((x1, x2), u)
-        for x2, lo, hi in _rows(a, b, c, p1, p2, d, rho)
+        for x2, lo, hi in _rows(a, b, c, p1, p2, d, rho, first, count)
         for x1 in range(lo, hi + 1)
     ]
 
@@ -300,7 +291,7 @@ def coset_sampler_dim2(form, shift, rho: int):
     """draw(rng): uniform samples from {x in Z^2 : f(x + (q1, q2)/d) <= rho},
     shift = (q1, q2, d), each None if the set is empty.
 
-    Works over a reduced basis, whose box (_box) has R rows, each holding
+    Works over a reduced basis, whose box (_coset_box) has R rows, each holding
     fewer than W points.  The reduction and the box are computed here once,
     and so, for R <= _FEW_ROWS, are the rows and their point count; each
     draw then picks one of those points uniformly.  Past that a draw picks
@@ -319,12 +310,9 @@ def coset_sampler_dim2(form, shift, rho: int):
     and L and exceeds 1/3 for every R > _FEW_ROWS = 32; in particular the
     set is not empty.  A draw raises BudgetError after _ROW_TRIES tries.
     """
-    (a, b, c), u, (p1, p2, d) = _reduced_coset(form, shift)
-    if rho < 0:
-        return lambda rng: None
-    xs, w = _box(a, b, c, p2, d, rho)
-    if len(xs) <= _FEW_ROWS:
-        rows = list(_rows(a, b, c, p1, p2, d, rho))
+    (a, b, c), u, (p1, p2, d), (first, count, w) = _coset_box(form, shift, rho)
+    if count <= _FEW_ROWS:
+        rows = list(_rows(a, b, c, p1, p2, d, rho, first, count))
         total = sum(hi - lo + 1 for _, lo, hi in rows)
         if total == 0:
             return lambda rng: None
@@ -340,7 +328,7 @@ def coset_sampler_dim2(form, shift, rho: int):
 
     def draw(rng: random.Random):
         for _ in range(_ROW_TRIES):
-            x2 = xs[rng.randrange(len(xs))]
+            x2 = first + rng.randrange(count)
             lo, hi = _row(a, b, c, p1, p2, d, rho, x2)
             x1 = lo + rng.randrange(w)
             if x1 <= hi:

@@ -780,6 +780,15 @@ def test_represent_peels_p_powers():
     assert quat.special_order(alg).order.contains(el)
 
 
+def test_represent_at_a_61_bit_prime_and_a_260_bit_norm():
+    # the norm equation's ellipse boxes here have far over 2^63 rows
+    alg = quat.construct_algebra(2**61 - 1)
+    n = arith.next_prime(2**260)
+    el = represent_in_O0(alg, n, random.Random(0))
+    assert el.nrd() == n
+    assert quat.special_order(alg).order.contains(el)
+
+
 def test_divisor_table_cache_is_bounded():
     # every target n brings its own (D, m) key; the cache must not keep
     # one table per target

@@ -173,8 +173,8 @@ GOLDEN_COSET = [
 
 
 def box_rows(gram, shift, rho):
-    (a, b, c), _, (_, p2, d) = lattice._reduced_coset(gram, shift)
-    return len(lattice._box(a, b, c, p2, d, rho)[0])
+    _, _, _, (_, count, _) = lattice._coset_box(gram, shift, rho)
+    return count
 
 
 def test_coset_sampler_pinned():

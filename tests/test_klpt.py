@@ -2,7 +2,6 @@
 equivalent-ideal transcript (KlptContext.verify() on tampered input), and
 the search's success rate at fixed seeds."""
 
-import ast
 import hashlib
 import itertools
 import random
@@ -10,6 +9,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatpath import arith, eqsolver, klpt, lattice, linalg, quat
 from quatpath.arith import Factorization
@@ -283,11 +284,9 @@ def test_extra_exponent_check_raises():
 
 
 def round_failures(result):
-    """The failure tally of a search: a KlptContext's, or the final BudgetError's."""
-    if isinstance(result, klpt.KlptContext):
-        return result.failures
-    msg = str(result)
-    return ast.literal_eval(msg[msg.index("failures ") + len("failures "):])
+    """The failure tally of a search: a KlptContext's, or the final SearchFailed's."""
+    assert isinstance(result, (klpt.KlptContext, klpt.SearchFailed)), result
+    return result.failures
 
 
 def search_outcomes(p, n2, seeds):
@@ -334,10 +333,26 @@ def test_search_success_rate_at_1009():
 
 
 def test_search_at_a_61_bit_prime():
-    # n2 = 5^124 ~ p^4.7; seed 0 succeeds in its first round
-    outcomes = search_outcomes(2**61 - 1, Factorization(((5, 124),), 1), [0])
-    assert isinstance(outcomes[0], klpt.KlptContext), outcomes
-    assert outcomes[0].rounds == 1
+    # n2 = 5^124 ~ p^4.7 and 5^316 ~ p^12, where the prime norm's own solve
+    # samples an ellipse box of far over 2^63 rows; seed 0 succeeds in its
+    # first round at both
+    for k in (124, 316):
+        outcomes = search_outcomes(2**61 - 1, Factorization(((5, k),), 1), [0])
+        assert isinstance(outcomes[0], klpt.KlptContext), outcomes
+        assert outcomes[0].rounds == 1
+
+
+# one prime of each class near 2^61: 3 mod 4, 5 mod 8 and 1 mod 8 (q = 3)
+SEARCH_PRIMES = (2**61 - 1, 2305843009213693973, 2305843009213694009)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(SEARCH_PRIMES), st.integers(124, 316), st.integers(0, 2**32))
+def test_search_raises_only_budget_errors(p, k, seed):
+    # n2 = 5^k from p^4.7 to p^12: search_outcomes checks a verified output
+    # or a SearchFailed tally of declared round failures; any other
+    # exception fails the test
+    search_outcomes(p, Factorization(((5, k),), 1), [seed])
 
 
 def test_disc_f_obstruction_has_its_own_reason():
@@ -471,3 +486,11 @@ def test_powersmooth_equiv(p):
     assert quat.ideal_equivalence_test(o0, out) is not None
     fac = arith.factor_completely(out.norm())
     assert fac.complete and all(q**e <= bound for q, e in fac.factors)
+
+
+def test_powersmooth_equiv_at_a_61_bit_prime():
+    # bound 2^20 gives n1 = n2 ~ 2^1478; the search's ellipse boxes pass 2^63 rows
+    bound = 2**20
+    o0 = quat.special_order(quat.construct_algebra(2**61 - 1)).order
+    out = klpt.powersmooth_equiv(o0, bound, random.Random(0))
+    assert quat.ideal_equivalence_test(o0, out) is not None

@@ -10,6 +10,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatpath import klpt, lattice, linalg, qform, quat
 from quatpath.arith import Factorization
@@ -240,8 +242,8 @@ def chi2_z(counts, draws):
 
 
 def coset_box_rows(f, shift, rho):
-    (a, b, c), _, (_, p2, d) = lattice._reduced_coset(f, shift)
-    return len(lattice._box(a, b, c, p2, d, rho)[0])
+    _, _, _, (_, count, _) = lattice._coset_box(f, shift, rho)
+    return count
 
 
 def test_sample_ellipsoid_coset_dim2():
@@ -294,6 +296,36 @@ def test_sample_ellipsoid_coset_dim2_thin():
     rng = random.Random(0)
     for _ in range(500):
         assert sample_ellipsoid_coset_dim2(f, shift, rho, rng) in pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(-30, 30), st.integers(1, 30),
+       st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 20),
+       st.integers(0, 400), st.data())
+def test_rank2_layer_at_any_size(a, b, c, q1, q2, d, bits, data):
+    # rho + 1 lies in [2^(bits-1), 2^bits] (rho = -1 or 0 at bits 0): a box
+    # of over 2^63 rows is plain integers to the sampler, and past their
+    # budgets count and enumerate refuse it before reading a row
+    if b * b >= 4 * a * c:
+        b = 0
+    f, shift = BinaryQF(a, b, c), (q1, q2, d)
+    rho = data.draw(st.integers(2**bits // 2, 2**bits)) - 1
+    x = sample_ellipsoid_coset_dim2(f, shift, rho, random.Random(bits))
+    if x is not None:
+        m, n = d * x[0] + q1, d * x[1] + q2
+        assert a * m * m + b * m * n + c * n * n <= rho * d * d
+    if bits <= 10:
+        want = sorted(brute_points(as_gram(f), as_point(shift), rho)) if rho >= 0 else []
+        assert count_ellipsoid_dim2(f, shift, rho) == len(want)
+        assert sorted(enumerate_ellipsoid_dim2(f, shift, rho)) == want
+        assert (x is None) == (not want)
+    elif bits >= 80:
+        # over 4*sqrt(rho/disc4) - 2 > 10^8 rows, as disc4 <= 3600
+        assert x is not None
+        with pytest.raises(BudgetError):
+            count_ellipsoid_dim2(f, shift, rho)
+        with pytest.raises(BudgetError):
+            enumerate_ellipsoid_dim2(f, shift, rho)
 
 
 def test_sample_ellipsoid_general_rank():
