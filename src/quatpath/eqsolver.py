@@ -5,15 +5,12 @@ a*z + b*g(x,y) = n with z > 0 by splitting the congruence b*g = n mod a
 into square-root classes and sampling the translated sublattice inside the
 ellipsoid g <= (n-a)/b; everything but the draw depends only on
 (a, b, n, g), so that set-up is built once and drawn from as often as
-needed.  solve_master wraps this in two layers of class group
-randomization so that the prime z-candidates it keeps can always be
-pulled back to the target form f by Gauss composition: a right-hand layer
-that moves g around its genus (trading a divisor d of the helper bound B
-for a d^2 scaling), and a left-hand layer that replaces f(s,t) by
-det(rho)^2 * z for a crafted transform rho whose determinant every class
-of disc(f) can reach.  Both layers read exact per-class divisor tables.
-The left layer takes one path for every class number: at h(f) = 1 its
-table makes rho the identity.  The right layer resolves each class once
+needed.  solve_master wraps this in a right-hand class group
+randomization that moves g around its genus (trading a divisor d of the
+helper bound B for a d^2 scaling), read from an exact per-class divisor
+table, and lifts each prime z-candidate it keeps by Cornacchia on f
+itself: a prime of f's genus that only another class of that genus
+represents is drawn again.  The right layer resolves each class once
 per solve_master call, sets up the sampler once per resolved class, and
 never composes for the principal class; past GENUS_ENUM_DISC_BOUND no
 table is built for disc(g), and it stays at the principal class.
@@ -168,7 +165,8 @@ def _az_plus_bg_sampler(a, b, n, g, fa):
 
 # Per-class divisor tables kept for reuse.  A table is keyed on (D, m) and
 # m carries the target n, so the cache bound caps memory across targets
-# while one solve_master call, which needs two tables, always hits.
+# while one solve_master call, which reads its table on every attempt,
+# always hits.
 _DIVISOR_TABLE_CACHE = 16
 
 
@@ -241,13 +239,10 @@ class EquationInstance:
     determinant and content 1 with det(gamma), disc(f), b pairwise
     coprime and gcd(det(gamma)*b, n) = 1.
 
-    The derived fields fix the whole left-hand randomization at build
-    time: b0 is the left divisor bound, rho the crafted determinant-b0
-    transform, a = (b0*det(gamma))^2 the coefficient actually sampled
-    against, g = f o (gamma rho) the sampled right-hand form, and
-    u_residues the admissible residues mod |disc f| for the prime
-    z-values (in the genus of f, with (n - u*a)/b landing on a residue
-    the right-hand form actually takes).
+    The derived fields: a = det(gamma)^2 is the coefficient sampled
+    against, g = f o gamma the sampled right-hand form, and u_residues
+    the admissible residues mod |disc f| for the prime z-values (in the
+    genus of f, with (n - u*a)/b landing on a residue g actually takes).
     """
 
     f: qform.BinaryQF
@@ -255,46 +250,11 @@ class EquationInstance:
     det_fac: Factorization
     b: int
     n: int
-    b0: int
-    rho: tuple
     a: int
     a_fac: Factorization
-    g_gamma: qform.BinaryQF
     g: qform.BinaryQF
     chi_mod: int
     u_residues: tuple
-    class_group_f: qform.ClassGroup
-    left_table: tuple
-
-
-def _craft_left_transform(g_gamma, b0, primes, b, n):
-    """rho with det(rho) = b0, content 1, rank 1 mod each prime r of b0,
-    its image line chosen so b*(g_gamma o rho) = n stays solvable mod r^2.
-
-    Mod r the composed form collapses to lambda(w)^2 * g_gamma(v_r), so it
-    is enough to aim the image v_r itself at a value of g_gamma in the
-    same square class as n/b mod r.  Nondegenerate binary forms over F_r
-    take every nonzero class, so the aim always exists.
-    """
-    if b0 == 1:
-        return qform._ID2
-    residues = []
-    for r in primes:
-        want = arith.kronecker((n * arith.inv_mod(b, r)) % r, r)
-        residues.append(next((x, y) for x in range(r) for y in range(r)
-                             if arith.kronecker(g_gamma.value(x, y), r) == want))
-    xs = arith.crt([v[0] for v in residues], list(primes))[0]
-    ys = arith.crt([v[1] for v in residues], list(primes))[0]
-    for k1 in range(64):
-        for k2 in range(64):
-            x, y = xs + k1 * b0, ys + k2 * b0
-            if math.gcd(x, y) == 1:
-                _, u, v = arith.xgcd(x, y)
-                rho = ((v * b0, x), (-u * b0, y))
-                _ensure(_det2(rho) == b0 and _content2(rho) == 1,
-                        "rho has determinant b0 and content 1")
-                return rho
-    raise BudgetError("no primitive image vector found for rho")
 
 
 def equation_instance(f, gamma, b, n, det_fac=None):
@@ -313,7 +273,7 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     if det == 0:
         raise ValidationError("gamma must have rank 2")
     if det % 2 == 0:
-        # a = det(rho gamma)^2 must stay coprime to 2bn for the sampler
+        # a = det(gamma)^2 must stay coprime to 2bn for the sampler
         raise ValidationError("det(gamma) must be odd")
     if _content2(gamma) != 1:
         raise ValidationError("gamma must have content 1")
@@ -330,19 +290,9 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     if not det_fac.complete or det_fac.value() != adet:
         raise ValidationError("det_fac must be a complete factorization")
 
-    g_gamma = f.transform(gamma)
-    cgf, left = _class_divisor_table(f.disc, 2 * n * b * abs(g_gamma.disc))
-    primes = [d for d, _ in left if d > 1]
-    b0 = math.prod(primes)
-    rho = _craft_left_transform(g_gamma, b0, primes, b, n)
-
-    a = (b0 * adet) ** 2
-    afac = {r: 2 for r in primes}
-    for r, k in det_fac.factors:
-        afac[r] = afac.get(r, 0) + 2 * k
-    a_fac = Factorization.from_dict(afac)
-    g = g_gamma.transform(rho)
-    _ensure(g.disc == a * f.disc, "disc(g) = a * disc(f)")
+    a = adet * adet
+    a_fac = Factorization.from_dict({r: 2 * k for r, k in det_fac.factors})
+    g = f.transform(gamma)
 
     chi_mod = abs(f.disc)
     if chi_mod * chi_mod > 10**6:
@@ -352,7 +302,7 @@ def equation_instance(f, gamma, b, n, det_fac=None):
     binv = arith.inv_mod(b, chi_mod)
     # u runs over the unit values of f mod |disc f|: the residues of f's
     # genus.  (n - u*a)/b must be a value of g there, and g's values are
-    # exactly f's since gamma*rho is invertible mod disc f.  This test is
+    # exactly f's since gamma is invertible mod disc f.  This test is
     # exact: a residue outside the value set admits no integer solution at
     # all, while the bare Kronecker != -1 test wrongly keeps
     # character-zero classes the right-hand side can never reach.
@@ -360,11 +310,8 @@ def equation_instance(f, gamma, b, n, det_fac=None):
                   and ((n - u * a) * binv) % chi_mod in fvals]
 
     return EquationInstance(
-        f=f, gamma=gamma, det_fac=det_fac, b=b, n=n,
-        b0=b0, rho=rho, a=a, a_fac=a_fac,
-        g_gamma=g_gamma, g=g, chi_mod=chi_mod,
-        u_residues=tuple(admissible),
-        class_group_f=cgf, left_table=tuple(left),
+        f=f, gamma=gamma, det_fac=det_fac, b=b, n=n, a=a, a_fac=a_fac,
+        g=g, chi_mod=chi_mod, u_residues=tuple(admissible),
     )
 
 
@@ -384,11 +331,11 @@ def local_obstruction(inst):
     """None, or (m, reason): why solve_master cannot solve inst modulo m.
 
     At each prime power r^k of det(gamma), m = r: the equation must be
-    solvable modulo r^(2k).  rho is invertible there, so g may be replaced
-    by f o gamma = f(w)*L^2 mod r: a solution mod r needs f(w) != 0 and
-    n/(b*f(w)) a square mod r; conversely such a solution has L != 0, where
-    the gradient 2*f(w)*L*grad(L) is a unit (r is odd), so Hensel's lemma
-    lifts it to every power of r.  The exponent k plays no part.  Mod
+    solvable modulo r^(2k), and there g = f o gamma = f(w)*L^2 mod r: a
+    solution mod r needs f(w) != 0 and n/(b*f(w)) a square mod r;
+    conversely such a solution has L != 0, where the gradient
+    2*f(w)*L*grad(L) is a unit (r is odd), so Hensel's lemma lifts it to
+    every power of r.  The exponent k plays no part.  Mod
     m = |disc f| the solver keeps only prime z-values in u_residues; with
     none it cannot reach n, even where a z sharing a prime with disc f would.
     """
@@ -403,51 +350,27 @@ def local_obstruction(inst):
 
 
 def lift_genus_solution(inst, sol):
-    """Turn (l, x', y') with a*l + b*g(x', y') = n, l prime in an
-    admissible class (l mod |disc f| in inst.u_residues, f's genus), into
-    (s, t, x, y) with det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n.
+    """Turn (l, x, y) with a*l + b*g(x, y) = n, l prime in an admissible
+    class (l mod |disc f| in inst.u_residues, f's genus), into (s, t, x, y)
+    with det(gamma)^2 f(s,t) + b*(f o gamma)(x,y) = n, or None when f does
+    not represent l.
 
-    Cornacchia finds the first class h of disc f with h(s0,t0) = l; h is
-    in f's genus, so [k]^2 = [h]^(-1)[f] exists by the principal genus
-    theorem and comes with a table divisor d = k(s1,t1) dividing b0, so
-    composing twice gives f-coordinates for d^2*l and scaling by b0/d
-    reaches b0^2*l.
+    Cornacchia on f decides it: l is represented by some class of f's
+    genus, which is f itself when each genus of disc f holds one class.
     """
-    ell, xp, yp = sol
-    if inst.a * ell + inst.b * inst.g.value(xp, yp) != inst.n:
-        raise ValidationError("input triple does not solve the rho-equation")
+    ell, x, y = sol
+    if inst.a * ell + inst.b * inst.g.value(x, y) != inst.n:
+        raise ValidationError("input triple does not solve a*z + b*g(x, y) = n")
     if not arith.is_prime(ell):
         raise ValidationError("z-value must be prime")
     if ell % inst.chi_mod not in inst.u_residues:
         raise ValidationError("z-value is not in an admissible class modulo disc(f)")
-    cg = inst.class_group_f
-    fa_ell = Factorization.of_prime_power(ell, 1)
-    for idx_h, h in enumerate(cg.forms):
-        co = qform.cornacchia(h, ell, fa_ell)
-        if co is not None:
-            break
-    _ensure(co is not None, "some class of disc(f) represents the prime")
-
-    want = cg.compose_indices(cg.inverse_index(idx_h), cg.index_of(inst.f))
-    roots = [i for i in range(cg.h) if cg.compose_indices(i, i) == want]
-    _ensure(bool(roots), "[h]^(-1)[f] has a square root")
-    # largest divisor = smallest b0/d scaling; the choice is free since
-    # the left side is exact, never sampled
-    idx_k = max(roots, key=lambda i: inst.left_table[i][0])
-    d, wit = inst.left_table[idx_k]
-    k_form = cg.forms[idx_k]
-
-    f1, w1 = qform.compose_with_coords(k_form, wit, k_form, wit)
-    f2, w2 = qform.compose_with_coords(f1, w1, h, co)
-    # f(w2) = d^2*l is the final check below, times det(gamma)^2 (b0/d)^2
-    _ensure(f2 == inst.f, "the composition back to f lands on f")
-    scale = inst.b0 // d
-    s, t = w2[0] * scale, w2[1] * scale
-
-    x, y = qform._apply(inst.rho, (xp, yp))
-    det2 = _det2(inst.gamma) ** 2
-    _ensure(det2 * inst.f.value(s, t) + inst.b * inst.g_gamma.value(x, y) == inst.n,
-            "det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n")
+    st = qform.cornacchia(inst.f, ell, Factorization.of_prime_power(ell, 1))
+    if st is None:
+        return None
+    s, t = st
+    _ensure(inst.a * inst.f.value(s, t) + inst.b * inst.g.value(x, y) == inst.n,
+            "det(gamma)^2 f(s,t) + b*g(x,y) = n")
     return s, t, x, y
 
 
@@ -457,9 +380,12 @@ def solve_master(inst, rng):
 
     Loop: draw a class k and divisor d for disc(g), move g to
     h = [k^-2 g], sample a*z + (b*d^2)*h(x1,y1) = n, keep z prime with
-    z = u mod |disc f|, compose back to g, lift to f.  h and the window
-    fit b*d^2*h.a <= n - a are resolved once per class drawn; a class that
-    does not fit falls back to the principal class, d = 1 and h = g reduced.
+    z = u mod |disc f|, compose back to g, and keep z when Cornacchia on f
+    represents it.  A prime z of f's genus that another class represents
+    is drawn again, which costs at most a factor h(f)/(number of genera)
+    in attempts.  h and the window fit b*d^2*h.a <= n - a are resolved
+    once per class drawn; a class that does not fit falls back to the
+    principal class, d = 1 and h = g reduced.
     The sampler's set-up for a resolved class is built on its first attempt
     and drawn from on every later one, so an attempt costs one draw.
     Raises ValidationError with the reason local_obstruction(inst) gives,
@@ -477,7 +403,7 @@ def solve_master(inst, rng):
     # b*h-value >= b must fit under n - a; for a = 1 it is and z = n works
     if budget < 0 or (inst.a > 1 and budget < inst.b):
         raise BudgetError("n too small: the window holds no z > 0")
-    stats = {"empty_window": 0, "z_composite": 0, "z_residue": 0,
+    stats = {"empty_window": 0, "z_composite": 0, "z_residue": 0, "z_class": 0,
              "divisor_infeasible": 0}
     # z only has to land on some admissible residue, not on a residue drawn
     # ahead of time; matching a single pre-drawn u would reject the same
@@ -513,7 +439,7 @@ def solve_master(inst, rng):
             if k_form not in prepared:
                 prepared[k_form] = _az_plus_bg_sampler(inst.a, inst.b * d * d,
                                                        inst.n, h, inst.a_fac)
-                # the screen at det(gamma), rho at b0 and h in g's genus
+                # the screen at det(gamma) and h in g's genus
                 _ensure(prepared[k_form] is not None, "a root class mod a")
             z, x1, y1 = prepared[k_form](rng)
         except BudgetError:
@@ -522,8 +448,8 @@ def solve_master(inst, rng):
                 # the fallback window is identical on every attempt here;
                 # empty once means empty forever
                 raise BudgetError(
-                    "left divisor too large for this n: the fixed fallback "
-                    f"window holds no admissible point; stats {stats}"
+                    "the fixed fallback window holds no admissible point "
+                    f"for this n; stats {stats}"
                 ) from None
             # the admissible cosets miss the ellipsoid at this h; retry
             continue
@@ -539,6 +465,9 @@ def solve_master(inst, rng):
                 "the pull-back to g represents d^2 h(x1, y1)")
         v2 = qform._apply(mg, w2)
         sol = lift_genus_solution(inst, (z, v2[0], v2[1]))
+        if sol is None:
+            stats["z_class"] += 1
+            continue
         LOG.debug("master solved after %d attempts, stats %s", attempt, stats)
         return sol
     raise BudgetError(

@@ -232,7 +232,8 @@ ROUND_FAILURES = frozenset((
     "prime window too large to enumerate", "no admissible prime norm",
     "prime norm has no admissible residue mod disc(f)", "prime norm not represented",
     "line pairing fixed point", "isotropic coefficient line",
-    "no admissible residue mod disc(f)", "norm window empty"))
+    "no admissible residue mod disc(f)", "norm window empty",
+    "no rank-one step generator found"))
 
 
 class _RoundRetry(Exception):
@@ -406,7 +407,10 @@ def _extra_exponent(f, g, n, p, n2v, ell):
 def _one_round(so, ideal, spec, n1, n2, ell, rho, rng, round_no, failures):
     p = so.alg.p
     n2v = n2.value()
-    walked = random_walk(ideal, spec, rng)
+    try:
+        walked = random_walk(ideal, spec, rng)
+    except BudgetError as e:
+        raise _RoundRetry(str(e)) from None
     pick = None
     for _ in range(PRIME_DRAWS_PER_ROUND):
         try:

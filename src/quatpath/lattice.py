@@ -9,8 +9,9 @@ basis one box, plain integers of any size, and one row formula serve
 counting, enumeration and the exact coset sampler.  A coset shift is the
 integer triple (q1, q2, d), the point (q1, q2)/d.
 Everything is exact integer arithmetic, never floats: a GramForm holds
-the integer matrix 2G, and LLL, Fincke-Pohst enumeration and the
-ellipsoid sampler share one integral Gram-Schmidt computation.  The only
+the integer matrix 2G, LLL and Fincke-Pohst enumeration share one
+integral Gram-Schmidt computation, and the ellipsoid sampler reads its
+box from Bareiss cofactors.  The only
 Fractions are the half-integer Gram entries GramForm's constructor reads.
 """
 

@@ -121,7 +121,7 @@ def prime_form(D: int, p: int) -> BinaryQF | None:
         if (b - D) % 2:
             b = p - b
     c4 = b * b - D
-    assert c4 % (4 * p) == 0
+    _ensure(c4 % (4 * p) == 0, "4p divides b^2 - D")
     return BinaryQF(p, b, c4 // (4 * p))
 
 
@@ -181,7 +181,7 @@ def _concordant(f1: BinaryQF, f2: BinaryQF):
     t2 = (B - g2.b) // (2 * a2)
     m2 = _mul2(m2, ((1, t2), (0, 1)))
     C4 = B * B - D
-    assert C4 % (4 * a1 * a2) == 0
+    _ensure(C4 % (4 * a1 * a2) == 0, "4 a1 a2 divides B^2 - D")
     C = C4 // (4 * a1 * a2)
     _ensure(f1.transform(m1) == BinaryQF(a1, B, a2 * C)
             and f2.transform(m2) == BinaryQF(a2, B, a1 * C), "fi o mi is the concordant pair")
@@ -279,16 +279,16 @@ def fundamental_discriminant(D: int) -> tuple[int, int]:
     s = D // (m * m)
     if s % 4 == 1:
         return s, m
-    assert m % 2 == 0
+    _ensure(m % 2 == 0, "D / m^2 = 2 or 3 mod 4 leaves m even")
     return 4 * s, m // 2
 
 
 class ClassGroup:
     """Every reduced primitive form of one negative discriminant.
 
-    Immutable after construction.  Composition of classes is computed on
-    demand (it is cheap and stateless).  No genus partition is stored:
-    eqsolver decides a genus by the unit residues mod |disc| a form takes.
+    Immutable after construction; classes compose through compose and
+    index_of.  No genus partition is stored: eqsolver decides a genus by
+    the unit residues mod |disc| a form takes.
     """
 
     def __init__(self, disc: int, forms: tuple):
@@ -307,15 +307,9 @@ class ClassGroup:
                 "form is not a primitive form of this discriminant"
             ) from None
 
-    def compose_indices(self, i: int, j: int) -> int:
-        return self._index[compose(self.forms[i], self.forms[j])]
 
-    def inverse_index(self, i: int) -> int:
-        return self._index[reduce_form(self.forms[i].opposite())[0]]
-
-
-# Class groups kept for reuse: equation_instance reads the class group of
-# the same disc(f) for every target n.
+# Class groups kept for reuse: eqsolver's class divisor tables read the
+# class group of the same disc(g) for every target n.
 _CLASS_GROUP_CACHE = 16
 
 

@@ -270,22 +270,18 @@ def test_instance_validation():
 
 
 def test_instance_derived_fields():
+    # a = det(gamma)^2 and g = f o gamma, at any class number of f
     f = qform.BinaryQF(2, 1, 3)  # disc -23, h = 3
     n = 100000007
-    inst = equation_instance(f, ID2, 1, n)
-    assert inst.b0 > 1 and inst.a == inst.b0**2
-    assert eqsolver._det2(inst.rho) == inst.b0
-    assert eqsolver._content2(inst.rho) == 1
-    assert inst.g.disc == inst.a * f.disc
-    assert inst.a_fac.complete and inst.a_fac.value() == inst.a
-    # each non-principal class carries a distinct odd prime divisor
-    ds = [d for d, _ in inst.left_table if d > 1]
-    assert len(ds) == inst.class_group_f.h - 1 == 2
-    assert len(set(ds)) == len(ds) and all(arith.is_prime(d) for d in ds)
-    assert math.prod(ds) == inst.b0
-    for (d, wit), form in zip(inst.left_table, inst.class_group_f.forms):
-        assert form.value(*wit) == d
+    for gamma, b in ((ID2, 1), (((3, 1), (1, 2)), 7)):
+        inst = equation_instance(f, gamma, b, n)
+        assert inst.a == eqsolver._det2(gamma) ** 2
+        assert inst.g == f.transform(gamma)
+        assert inst.g.disc == inst.a * f.disc
+        assert inst.a_fac.complete and inst.a_fac.value() == inst.a
     # admissible residues are genus residues of f passing the character test
+    inst = equation_instance(f, ID2, 1, n)
+    assert inst.a == 1
     res = genus_residues(f)
     for u in inst.u_residues:
         assert u in res
@@ -293,11 +289,11 @@ def test_instance_derived_fields():
         assert arith.kronecker(-23, w) != -1
 
 
-def test_left_transform_aims_at_g_gamma():
-    # mod each prime r of b0, g = g_gamma o rho collapses to g_gamma(v)*L^2
-    # for v the image of rho, so v itself must carry the aim: g_gamma(v)
-    # nonzero and n/(b*g_gamma(v)) a square mod r.  Aimed anywhere else,
-    # g_gamma(v) can vanish mod r and g loses primitivity.
+def test_g_is_primitive_off_the_isotropic_lines():
+    # mod each prime r of det(gamma), g = f o gamma collapses to f(w)*L^2
+    # for w the image line of gamma, so g keeps content 1 exactly when
+    # f(w) != 0 mod r.  disc -23 is a non-square mod 5, 7 and 11, so f
+    # vanishes on no line there.
     f = qform.BinaryQF(2, 1, 3)  # disc -23, h = 3
     built = 0
     for gamma, b in ((((1, 0), (0, 5)), 7), (((3, 1), (1, 2)), 7), (((1, 2), (0, 7)), 11)):
@@ -308,17 +304,17 @@ def test_left_transform_aims_at_g_gamma():
                 continue
             built += 1
             assert inst.g.is_primitive, (gamma, b, n, inst.g)
-            v = (inst.rho[0][1], inst.rho[1][1])
-            for r in (d for d, _ in inst.left_table if d > 1):
-                lam = inst.g_gamma.value(*v) % r
-                assert lam and arith.kronecker(n * arith.inv_mod(b * lam, r), r) == 1
     assert built > 200
+    # x^2 + y^2 vanishes mod 5 on the image line (3, 1) of this gamma
+    inst = equation_instance(qform.BinaryQF(1, 0, 1), ((3, 1), (1, 2)), 103, 10**7 + 9)
+    assert inst.g.content == 5
+    assert eqsolver.local_obstruction(inst)[0] == 5
 
 
-def test_master_nontrivial_gamma_with_left_transform():
-    # the instance whose g had content 3 while rho aimed through gamma^-1
+def test_master_nontrivial_gamma_at_class_number_3():
+    # disc -23 has h = 3 and gamma has determinant 5, so a = 25
     inst = equation_instance(qform.BinaryQF(2, 1, 3), ((1, 0), (0, 5)), 7, 10**9 + 9)
-    assert inst.b0 > 1 and inst.g.is_primitive
+    assert inst.a == 25 and inst.g.is_primitive
     check_master(inst, random.Random(0))
 
 
@@ -331,7 +327,7 @@ def test_lift_h1_is_plain_cornacchia():
     f = qform.BinaryQF(1, 0, 1)
     n = 1000033
     inst = equation_instance(f, ID2, 103, n)
-    assert inst.b0 == 1 and inst.a == 1
+    assert inst.a == 1
     # build a valid triple by scanning small (x', y')
     found = None
     for x in range(40):
@@ -345,11 +341,13 @@ def test_lift_h1_is_plain_cornacchia():
     s, t, x, y = lift_genus_solution(inst, found)
     assert f.value(s, t) + 103 * f.value(x, y) == n
     assert f.value(s, t) == found[0]
+    assert (s, t) == qform.cornacchia(f, found[0], Factorization(((found[0], 1),), 1))
+    assert (x, y) == found[1:]
 
 
 def triple_with_prime(f, ell):
-    """An instance of f with b = 1 and a solution (ell, x, y) of its
-    rho-equation, whether or not ell is in an admissible class."""
+    """An instance of f with b = 1 and a solution (ell, x, y) of
+    a*z + g(x, y) = n, whether or not ell is in an admissible class."""
     inst0 = equation_instance(f, ID2, 1, 99991)
     for x in range(1, 60):
         for y in range(60):
@@ -364,27 +362,33 @@ def triple_with_prime(f, ell):
 
 
 def test_lift_two_genera_disc20():
-    # disc -20 has classes (1,0,5) and (2,2,3) in different genera. A prime
-    # in the (2,2,3) genus lifts through the square-root class of order 2,
-    # whose square is the principal form x^2 + 5 y^2.
+    # disc -20 has classes (1,0,5) and (2,2,3) in different genera, one
+    # class each, so a prime in the (2,2,3) genus is represented by
+    # (2,2,3) itself and lifts by Cornacchia on it
     f = qform.BinaryQF(2, 2, 3)
     ell = 23
     assert representation_count(qform.BinaryQF(2, 2, 3), ell) > 0
     assert representation_count(qform.BinaryQF(1, 0, 5), ell) == 0
     inst, sol = triple_with_prime(f, ell)
     s, t, x, y = lift_genus_solution(inst, sol)
-    assert f.value(s, t) + inst.g_gamma.value(x, y) == inst.n
-    assert f.value(s, t) == inst.b0**2 * ell
-    # the square-root class is the order-2 one; its square is the principal
-    # form, so the composition chain passes through x^2 + 5 y^2
-    cg = inst.class_group_f
-    idx_f = cg.index_of(f)
-    want = cg.compose_indices(cg.inverse_index(idx_f), idx_f)
-    assert want == cg.identity_index
-    i2 = next(i for i in range(cg.h) if i != cg.identity_index)
-    assert cg.compose_indices(i2, i2) == cg.identity_index
-    assert cg.forms[cg.identity_index] == qform.BinaryQF(1, 0, 5)
-    assert inst.left_table[i2][0] > 1  # the lift scaled through its divisor
+    assert f.value(s, t) + inst.g.value(x, y) == inst.n
+    assert inst.a == 1 and f.value(s, t) == ell
+
+
+def test_lift_keeps_only_primes_f_represents():
+    # disc -23 is one genus of three classes: (1,1,6) and (2,+-1,3).  A
+    # prime that only (2,+-1,3) represents is in the genus of (1,1,6), so
+    # it passes the residue screen, but (1,1,6) cannot lift it
+    principal, other = qform.BinaryQF(1, 1, 6), qform.BinaryQF(2, 1, 3)
+    ell = next(q for q in range(3, 200) if arith.is_prime(q)
+               and representation_count(other, q) > 0
+               and representation_count(principal, q) == 0)
+    inst, sol = triple_with_prime(principal, ell)
+    assert ell % 23 in inst.u_residues
+    assert lift_genus_solution(inst, sol) is None
+    inst, sol = triple_with_prime(other, ell)
+    s, t, x, y = lift_genus_solution(inst, sol)
+    assert other.value(s, t) == ell and ell + inst.g.value(x, y) == inst.n
 
 
 @pytest.mark.parametrize("f, ell", [((2, 2, 3), 29), ((1, 0, 5), 23)])
@@ -429,7 +433,7 @@ def test_lift_rejects_wrong_triple():
 def check_master(inst, rng):
     s, t, x, y = solve_master(inst, rng)
     det2 = eqsolver._det2(inst.gamma) ** 2
-    assert det2 * inst.f.value(s, t) + inst.b * inst.g_gamma.value(x, y) == inst.n
+    assert det2 * inst.f.value(s, t) + inst.b * inst.g.value(x, y) == inst.n
     return s, t, x, y
 
 
@@ -442,12 +446,12 @@ def test_master_norm_equation_shape():
         check_master(inst, rng)
 
 
-def test_master_full_left_machinery():
-    # disc -23: h = 3, B0 = product of two table primes, crafted rho
+def test_master_at_class_number_3():
+    # disc -23: h = 3, one genus; only the z that f itself represents lift
     rng = random.Random(10)
     f = qform.BinaryQF(2, 1, 3)
     inst = equation_instance(f, ID2, 1, 100000007)
-    assert inst.b0 > 1
+    assert inst.a == 1
     s, t, x, y = check_master(inst, rng)
     assert (s, t) != (0, 0)
 
@@ -512,7 +516,7 @@ def test_master_composes_once_per_class_drawn(monkeypatch):
     attempts, drawn, composed, _ = count_master_work(
         monkeypatch, lambda: represent_in_O0(alg, 1000037, random.Random(0)))
     assert attempts >= 20 and len(drawn) == 1 and composed == 0
-    # disc g = -34983 has 72 classes: h = [k^-2 g] is composed the first
+    # disc g = -23 has 3 classes: h = [k^-2 g] is composed the first
     # time a class is drawn, never again
     inst = equation_instance(qform.BinaryQF(2, 1, 3), ID2, 1, 100000007)
     attempts, drawn, composed, _ = count_master_work(
@@ -522,7 +526,7 @@ def test_master_composes_once_per_class_drawn(monkeypatch):
 
 
 def test_master_prepares_once_per_class_drawn(monkeypatch):
-    # disc g = -34983 has 72 classes: the sampler of a*z + (b*d^2)*h = n is
+    # disc g = -23 has 3 classes: the sampler of a*z + (b*d^2)*h = n is
     # set up at most once per class drawn and per solve_master call, never
     # twice for one (b*d^2, h), and every later attempt only draws
     inst = equation_instance(qform.BinaryQF(2, 1, 3), ID2, 1, 100000007)
@@ -789,6 +793,24 @@ def test_represent_at_a_61_bit_prime_and_a_260_bit_norm():
     assert quat.special_order(alg).order.contains(el)
 
 
+# primes p = 1 mod 8 where construct_algebra picks q = 23: f = (1, 1, 6) of
+# disc -23, whose one genus holds three classes
+CLASS_NUMBER_3_PRIMES = (1873, 2137, 3217, 3697, 7417, 7681)
+
+
+def test_represent_at_class_number_3():
+    # solve_master keeps a prime z only where f itself represents it, so
+    # at h(f) = 3 about one prime z in three is drawn again
+    for p in CLASS_NUMBER_3_PRIMES:
+        alg = quat.construct_algebra(p)
+        so = quat.special_order(alg)
+        assert so.f.disc == -23 and qform.class_group(-23).h == 3
+        for seed in range(6):
+            n = arith.next_prime(random.Random(seed).randrange(p * p, math.isqrt(p**5)))
+            el = represent_in_O0(alg, n, random.Random(seed))
+            assert el.nrd() == n and so.order.contains(el)
+
+
 def test_divisor_table_cache_is_bounded():
     # every target n brings its own (D, m) key; the cache must not keep
     # one table per target
@@ -874,44 +896,24 @@ eqsolver.sample_az_plus_bg(47, 1, 100007, qform.BinaryQF(5, 4, 29),
     assert "postcondition failed: a*z + b*g(x, y) = n, z > 0" in run.stderr
 
 
+def test_lift_postcondition_holds_under_python_O():
+    # nor a lift whose Cornacchia step hands back wrong coordinates;
+    # 1000033 is a prime 1 mod 4, so (1000033, 0, 0) is a valid triple
+    run = run_under_python_O(O_HEADER + """
+corn = qform.cornacchia
+qform.cornacchia = lambda *args: (lambda s, t: (s + 1, t))(*corn(*args))
+eqsolver.lift_genus_solution(eqsolver.equation_instance(qform.BinaryQF(1, 0, 1),
+                             ((1, 0), (0, 1)), 103, 1000033), (1000033, 0, 0))
+""")
+    assert run.returncode != 0
+    assert "postcondition failed: det(gamma)^2 f(s,t) + b*g(x,y) = n" in run.stderr
+
+
 # a compose_with_coords whose coordinates come back one off in the first entry
 SHIFTED_COMPOSE = """
 cwc = qform.compose_with_coords
 qform.compose_with_coords = lambda *args: (lambda form, w: (form, (w[0] + 1, w[1])))(*cwc(*args))
 """
-
-
-def test_lift_postcondition_holds_under_python_O():
-    # nor a lift whose compositions hand back wrong coordinates; 1000033 is
-    # a prime 1 mod 4, so (1000033, 0, 0) is a valid triple
-    run = run_under_python_O(O_HEADER + SHIFTED_COMPOSE + """
-eqsolver.lift_genus_solution(eqsolver.equation_instance(qform.BinaryQF(1, 0, 1),
-                             ((1, 0), (0, 1)), 103, 1000033), (1000033, 0, 0))
-""")
-    assert run.returncode != 0
-    assert "postcondition failed: det(gamma)^2 f(s,t) + b*g_gamma(x,y) = n" in run.stderr
-
-
-def test_lift_form_postcondition_holds_under_python_O():
-    # nor a lift whose compositions land on a form of f's class other than
-    # f, with coordinates that represent the right values on it
-    run = run_under_python_O(O_HEADER + """
-import sys
-inst = eqsolver.equation_instance(qform.BinaryQF(1, 0, 1), ((1, 0), (0, 1)), 103, 1000033)
-cwc = qform.compose_with_coords
-
-def sheared(*args):
-    form, w = cwc(*args)
-    if sys._getframe(1).f_code.co_name != "lift_genus_solution":
-        return form, w
-    t = ((1, 1), (0, 1))
-    return form.transform(t), qform._apply(qform._inv2(t), w)
-
-qform.compose_with_coords = sheared
-eqsolver.lift_genus_solution(inst, (1000033, 0, 0))
-""")
-    assert run.returncode != 0
-    assert "postcondition failed: the composition back to f lands on f" in run.stderr
 
 
 def test_master_pull_back_postcondition_holds_under_python_O():
@@ -922,17 +924,6 @@ eqsolver.represent_in_O0(quat.construct_algebra(103), 10**6 + 3, random.Random(0
 """)
     assert run.returncode != 0
     assert "postcondition failed: the pull-back to g represents d^2 h(x1, y1)" in run.stderr
-
-
-def test_instance_disc_postcondition_holds_under_python_O():
-    # nor a crafted rho whose determinant is not b0 = 1: g's discriminant
-    # then misses a * disc(f)
-    run = run_under_python_O(O_HEADER + """
-eqsolver._craft_left_transform = lambda *args: ((1, 0), (0, 3))
-eqsolver.equation_instance(qform.BinaryQF(1, 0, 1), ((1, 0), (0, 1)), 103, 1000033)
-""")
-    assert run.returncode != 0
-    assert "postcondition failed: disc(g) = a * disc(f)" in run.stderr
 
 
 def test_represent_infeasible_small_n():

@@ -2,8 +2,8 @@
 cannot linger in an export list; every name the benchmark traces must
 exist, so a rename cannot break a traced run; every console script
 pyproject declares must resolve, so an install creates no broken command;
-a bare assert, which python -O strips, may only state an internal
-invariant, never a postcondition; and every memo must be bounded."""
+src keeps no bare assert, which python -O strips; every memo must be
+bounded; and every private name src defines is used in src."""
 
 import ast
 import functools
@@ -53,13 +53,9 @@ def test_every_declared_script_resolves():
         assert callable(functools.reduce(getattr, attr.split("."), module)), name
 
 
-# (module, function) of every bare assert src may keep, each an internal
-# invariant; a check on a returned value goes through errors._ensure
-ALLOWED_ASSERTS = {
-    ("qform", "prime_form"),
-    ("qform", "_concordant"),
-    ("qform", "fundamental_discriminant"),
-}
+# (module, function) of every bare assert src may keep; none, since python
+# -O strips them: every check goes through errors._ensure
+ALLOWED_ASSERTS = set()
 
 
 def bare_asserts(path):
@@ -112,3 +108,50 @@ def test_memos_are_bounded():
     found = {path.stem: lines for path in sorted((ROOT / "src" / "quatpath").glob("*.py"))
              if (lines := unbounded_memos(path.read_text()))}
     assert not found, f"unbounded memo (module: lines): {found}"
+
+
+def unreferenced_private_names(sources):
+    """(module, name) of each underscore-named function, class, method or
+    module-level constant that no AST name or attribute in sources refers
+    to outside its own definition.  sources maps module name to source."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defined = []  # (module, name, definition node)
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((mod, node.name, node))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            defined += [(mod, t.id, node) for t in targets if isinstance(t, ast.Name)]
+    private = [d for d in defined if d[1].startswith("_") and not d[1].startswith("__")]
+    # each reference with the ids of the definitions enclosing it
+    refs = {}
+
+    def visit(node, inside):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.setdefault(node.id, []).append(inside)
+        elif isinstance(node, ast.Attribute):
+            refs.setdefault(node.attr, []).append(inside)
+        inside = inside | {id(node)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
+    return sorted((mod, name) for mod, name, node in private
+                  if all(id(node) in inside for inside in refs.get(name, ())))
+
+
+def test_every_private_name_is_used():
+    assert unreferenced_private_names({"m": (
+        "_LIMIT = 3\n_UNUSED = 4\n"
+        "def _used(x): return x < _LIMIT\n"
+        "def _recursive(n): return n and _recursive(n - 1)\n"
+        "def _craft_left_transform(g): return g\n"
+        "class _Box:\n    def _area(self): return 0\n    def _side(self): return self._area()\n"
+        "def run(): return _used(1), _Box()._side()\n")}) == [
+        ("m", "_UNUSED"), ("m", "_craft_left_transform"), ("m", "_recursive")]
+    found = unreferenced_private_names(
+        {path.stem: path.read_text() for path in sorted((ROOT / "src" / "quatpath").glob("*.py"))})
+    assert not found, f"private names src defines but never uses: {found}"

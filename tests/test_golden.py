@@ -56,19 +56,22 @@ def test_represent_in_O0_pinned():
     ]
 
 
-# solve_master with gamma = 1 where disc g has several classes, so the
-# right-hand layer draws non-principal classes: disc g = -34983 has 72,
-# and a drawn class fails the window fit at n = 100000007 (seeds 0 and
-# 2-4) and at n = 100003 (every seed); disc g = -180 has 4.
+# solve_master with gamma = 1 at h(f) > 1, so a = 1 and the right-hand
+# layer draws non-principal classes of disc g = disc f: -23 has three
+# classes in one genus, -20 two in two genera.  At n = 100003 seed 3 draws
+# one prime z of f's genus that f does not represent, and draws again.
+# Re-pinned when the left-hand layer, which scaled f(s, t) by b0^2 for b0
+# the product of one table prime per class of disc f, was replaced by
+# Cornacchia on f alone.
 MASTER_CASES = [((2, 1, 3), 1, 100000007), ((2, 1, 3), 1, 100003), ((2, 2, 3), 1, 99991)]
 
 GOLDEN_MASTER = [
-    [(996, 4125, -2990, -2430), (-4476, -2277, 1066, -3444), (168, 3243, 4355, -3966),
-     (-1632, 4059, -4303, 3054), (4004, -1651, -3263, 4458), (1428, 3483, 1118, -4356)],
-    [(104, -169, 71, -26), (104, -169, 71, -26), (104, -169, -71, 26),
-     (15, 27, 214, -91), (104, -169, -58, -26), (15, 27, -214, 91)],
-    [(7, -13, 212, 20), (-142, -77, -106, 56), (146, -41, 172, -128),
-     (-56, -139, -110, 34), (155, -131, -154, 74), (146, -41, -68, 160)],
+    [(-2444, -2521, 917, -4670), (-14, 1191, 4929, 3228), (5654, 1179, -1711, -2272),
+     (358, 5619, -1219, -31), (-532, -1815, 4838, -4624), (4882, 1533, 3569, -2707)],
+    [(32, -41, 209, -94), (140, -107, -136, -22), (64, 57, -202, 42),
+     (-44, 125, -92, -98), (-176, -73, -52, -28), (74, 55, -183, 93)],
+    [(-77, -65, -14, 152), (-136, -27, 146, -126), (62, -133, 96, 84),
+     (86, 119, -6, -84), (-173, 127, 146, -56), (29, -79, -122, -100)],
 ]
 
 
@@ -92,13 +95,15 @@ def test_solve_master_gamma_pinned():
     assert got == GOLDEN_MASTER_GAMMA
 
 
-# At p = 1873 and n = 10007 the left divisor bound b0 = 39 makes a = 1521,
-# and the window n - a = 8486 holds only h-values up to 4 at b = 1873: all
-# 4000 attempts come back empty, and the stats witness each of them,
-# including the 3939 classes drawn whose window fit fell back to the
-# principal class.
-GOLDEN_MASTER_EXHAUSTED = {"empty_window": 4000, "z_composite": 0, "z_residue": 0,
-                           "divisor_infeasible": 3939}
+# At p = 1873 (f = (1, 1, 6), h(f) = 3) and n = 10007 the window n - 1
+# holds only f-values 0 and 1 at b = 1873, so z is 10007 or
+# 8134 = 2 * 7^2 * 83.  10007 is prime and of f's one genus, but only
+# (2, +-1, 3) represents it: all 4000 attempts end z_composite or z_class,
+# and the stats witness each of them, including the 2658 classes drawn
+# whose window fit fell back to the principal class.  Re-pinned with
+# GOLDEN_MASTER: the left-hand layer's a = 39^2 had left every window empty.
+GOLDEN_MASTER_EXHAUSTED = {"empty_window": 0, "z_composite": 3196, "z_residue": 0,
+                           "z_class": 804, "divisor_infeasible": 2658}
 
 
 def test_represent_in_O0_exhausted_pinned():

@@ -332,6 +332,15 @@ def test_search_success_rate_at_1009():
     assert 1 in wins and len(wins) >= 3, outcomes
 
 
+def test_search_at_class_number_3():
+    # p = 1873 picks q = 23, so f = (1, 1, 6) has three classes in one
+    # genus; a prime norm's solve keeps only the z that f represents
+    o0 = quat.special_order(quat.construct_algebra(1873)).order
+    outcomes = search_outcomes(1873, Factorization(((5, 26),), 1), [2])
+    assert isinstance(outcomes[2], klpt.KlptContext), outcomes
+    assert quat.ideal_equivalence_test(o0, outcomes[2].output) is not None
+
+
 def test_search_at_a_61_bit_prime():
     # n2 = 5^124 ~ p^4.7 and 5^316 ~ p^12, where the prime norm's own solve
     # samples an ellipse box of far over 2^63 rows; seed 0 succeeds in its
@@ -443,7 +452,7 @@ def hunt_without_draws(monkeypatch):
 
 
 def test_every_round_failure_is_reached(monkeypatch):
-    # seeds reach six reasons; monkeypatched stages reach the other four
+    # seeds reach six reasons; monkeypatched stages reach the other five
     reached = Counter()
     for p, k, seed in ((103, 20, 1), (103, 16, 1), (1097, 24, 0)):
         reached.update(round_failures(search_outcomes(p, Factorization(((5, k),), 1),
@@ -463,10 +472,13 @@ def test_every_round_failure_is_reached(monkeypatch):
         tally = round_failures(search_with_first_call(monkeypatch, owner, name, first))
         assert tally[reason] == 1, (name, tally)
         reached.update(tally)
-    monkeypatch.setattr(klpt, "PRIME_DRAWS_PER_ROUND", 0)
-    tally = round_failures(search_outcomes(103, Factorization(((5, 20),), 1), [0])[0])
-    assert tally == {"no admissible prime norm": klpt.ROUND_CAP}
-    reached.update(tally)
+    for name, reason in (("PRIME_DRAWS_PER_ROUND", "no admissible prime norm"),
+                         ("STEP_TRIES", "no rank-one step generator found")):
+        with monkeypatch.context() as m:
+            m.setattr(klpt, name, 0)
+            tally = round_failures(search_outcomes(103, Factorization(((5, 20),), 1), [0])[0])
+        assert tally == {reason: klpt.ROUND_CAP}, name
+        reached.update(tally)
     assert set(reached) == klpt.ROUND_FAILURES
 
 
@@ -489,8 +501,12 @@ def test_powersmooth_equiv(p):
 
 
 def test_powersmooth_equiv_at_a_61_bit_prime():
-    # bound 2^20 gives n1 = n2 ~ 2^1478; the search's ellipse boxes pass 2^63 rows
+    # bound 2^20 gives n1 = n2 ~ 2^1478; the search's ellipse boxes pass 2^63
+    # rows.  The walk takes every prime up to 1021, where a step can run out
+    # of tries for a rank-one generator: at seed 2 that fails four rounds,
+    # not the search
     bound = 2**20
     o0 = quat.special_order(quat.construct_algebra(2**61 - 1)).order
-    out = klpt.powersmooth_equiv(o0, bound, random.Random(0))
-    assert quat.ideal_equivalence_test(o0, out) is not None
+    for seed in (0, 2):
+        out = klpt.powersmooth_equiv(o0, bound, random.Random(seed))
+        assert quat.ideal_equivalence_test(o0, out) is not None

@@ -16,6 +16,7 @@ from quatpath.errors import BudgetError, ValidationError
 from quatpath.qform import (
     BinaryQF,
     class_group,
+    compose,
     compose_with_coords,
     cornacchia,
     fundamental_discriminant,
@@ -168,8 +169,8 @@ def test_compose_with_coords_value_identity():
 
 
 def test_class_group_is_memoised():
-    # equation_instance reads the class group of one disc(f) for every
-    # target, so a repeat call returns the same immutable object
+    # eqsolver's class divisor tables read the class group of one disc(g)
+    # for every target, so a repeat call returns the same immutable object
     assert class_group(-34983) is class_group(-34983)
     assert class_group.cache_info().maxsize == 16  # bounded across targets
 
@@ -178,11 +179,12 @@ def test_class_group_axioms():
     for D in [-23, -47, -84, -95, -120]:
         cg = class_group(D)
         n = cg.h
-        table = [[cg.compose_indices(i, j) for j in range(n)] for i in range(n)]
+        table = [[cg.index_of(compose(cg.forms[i], cg.forms[j])) for j in range(n)]
+                 for i in range(n)]
         e = cg.identity_index
         for i in range(n):
             assert table[i][e] == table[e][i] == i
-            inv = cg.inverse_index(i)
+            inv = cg.index_of(cg.forms[i].opposite())
             assert table[i][inv] == e
             for j in range(n):
                 assert table[i][j] == table[j][i]
@@ -196,7 +198,7 @@ def test_order_of_elements_divides_h():
         for i in range(cg.h):
             k, cur = 1, i
             while cur != cg.identity_index:
-                cur = cg.compose_indices(cur, i)
+                cur = cg.index_of(compose(cg.forms[cur], cg.forms[i]))
                 k += 1
             assert cg.h % k == 0
 
@@ -414,3 +416,19 @@ def test_cornacchia_postcondition_holds_under_python_O():
         "qform.reduce_form = lambda g: (rf(g)[0], ((1, 0), (0, 1)))",
         "qform.cornacchia(qform.BinaryQF(1, 0, 1), 5, Factorization(((5, 1),), 1))")
     assert got == "AssertionError: postcondition failed: f(s, t) = z"
+
+
+@pytest.mark.parametrize("patch, call, what", [
+    ("qform.arith.sqrt_mod_prime = lambda a, p: 1",
+     "qform.prime_form(-23, 13)", "4p divides b^2 - D"),
+    ("qform.arith.inv_mod = lambda a, m: 0",
+     "qform.compose_with_coords(qform.BinaryQF(2, 1, 3), (1, 1), qform.BinaryQF(2, -1, 3), (1, 0))",
+     "4 a1 a2 divides B^2 - D"),
+    ("qform.arith.factor_completely = lambda n: Factorization(((n, 1),), 1)",
+     "qform.fundamental_discriminant(-20)", "D / m^2 = 2 or 3 mod 4 leaves m even"),
+], ids=["prime_form", "_concordant", "fundamental_discriminant"])
+def test_internal_invariants_hold_under_python_O(patch, call, what):
+    # a wrong square root, inverse or factorization breaks an invariant of
+    # prime_form, _concordant or fundamental_discriminant, which no bare
+    # assert guards since python -O would strip it
+    assert postcondition_under_python_O(patch, call) == f"AssertionError: postcondition failed: {what}"
